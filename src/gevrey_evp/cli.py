@@ -37,6 +37,11 @@ _FLAG_TYPES = {
     "floatlist": str,
 }
 
+_FLAG_HELP = {
+    "tol": "relative eigensolver tolerance: stop once successive Rayleigh "
+    "quotients differ by at most tol * lambda (default 1e-14)",
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gevrey-evp", description=__doc__)
@@ -53,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
             if spec.typ == "bool":
                 p.add_argument(flag, action="store_true", default=None)
             else:
-                p.add_argument(flag, type=_FLAG_TYPES[spec.typ], default=None)
+                p.add_argument(flag, type=_FLAG_TYPES[spec.typ], default=None,
+                               help=_FLAG_HELP.get(key))
     return parser
 
 

@@ -1,26 +1,34 @@
 """Inverse power iteration for the smallest generalized eigenpairs.
 
 Solves A u = lambda M u for symmetric positive definite sparse A, M.  The
-smallest pair comes from plain inverse iteration with M-normalization; the
-second from the same iteration with M-orthogonal deflation against the first
+smallest pair comes from inverse iteration with M-normalization; the second
+from the same iteration with M-orthogonal deflation against the first
 eigenvector.  Convergence is declared when successive Rayleigh quotients
-differ by at most ``tol`` AND the scaled residual ||Au - lambda Mu|| / ||u||
-has dropped below 10 * tol * lambda (with a stagnation fallback, so the
-solver terminates even when that floor is unreachable).
+differ by at most ``tol * lambda`` AND the scaled residual
+||Au - lambda Mu|| / ||u|| has dropped below 10 * tol * lambda (with a
+stagnation fallback, so the solver terminates even when that floor is
+unreachable).  Both tests are relative, so they mean the same at any
+eigenvalue scale.
 
-Inner solves use either a sparse LU factorization (default; factorized once
-and reused) or Jacobi-preconditioned conjugate gradients with the inner
-tolerance slaved to tol/100.  Both sit behind the same contract and agree to
-solver accuracy.
+The iteration is shifted by the system's certified lower bound sigma on
+lambda1 (``SparseSystem.shift``): every solve factors A - sigma M once by a
+banded Cholesky decomposition (LAPACK dpbtrf; in lexicographic order the FEM
+matrices have bandwidth m) and reuses the factor in every step.  These band
+calls are far too small to gain from BLAS threads, so each solve holds
+OpenBLAS at one thread while it runs.
 """
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import itertools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy.linalg as sla
 
 from .fem import Assembler, SparseSystem, build_mesh
 
@@ -65,63 +73,93 @@ class EigenSolveError(RuntimeError):
         self.last = last
 
 
-def _jacobi_pcg(A, b, x0, rtol, max_iter):
-    """Conjugate gradients with diagonal preconditioning.
+def _openblas_thread_controls():
+    """(get, set) pairs for the thread count of each OpenBLAS in use.
 
-    Stops on relative residual <= rtol or on stagnation; raises on
-    nonpositive curvature (matrix not positive definite).
+    scipy's LAPACK and numpy's dot products may each bring an OpenBLAS of
+    their own.  The symbols are looked up through an extension module of
+    each package, so they resolve in the library it was linked against.
     """
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise EigenSolveError("matrix has a nonpositive diagonal; not SPD")
-    inv_diag = 1.0 / diag
-    x = x0.copy()
-    r = b - A @ x
-    z = inv_diag * r
-    p = z.copy()
-    gamma = float(r @ z)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-    best_x = x.copy()
-    best_res = float(np.linalg.norm(r)) / norm_b
-    stall = 0
-    for _ in range(max_iter):
-        Ap = A @ p
-        curv = float(p @ Ap)
-        if curv <= 0.0:
-            raise EigenSolveError("nonpositive curvature in CG; matrix not SPD")
-        alpha = gamma / curv
-        x += alpha * p
-        r -= alpha * Ap
-        res = float(np.linalg.norm(r)) / norm_b
-        if res < best_res:
-            best_res = res
-            best_x = x.copy()
-            stall = 0
-        else:
-            stall += 1
-        if res <= rtol or stall >= 20:
+    controls = {}
+    for module in ("scipy.linalg._flapack", "numpy.linalg._umath_linalg"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError, AttributeError, TypeError):
+            continue
+        for prefix, suffix in itertools.product(("scipy_openblas", "openblas"), ("", "64_")):
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                put = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            controls[ctypes.cast(put, ctypes.c_void_p).value] = (get, put)
             break
-        z = inv_diag * r
-        gamma_new = float(r @ z)
-        p = z + (gamma_new / gamma) * p
-        gamma = gamma_new
-    return best_x
+    return tuple(controls.values())
 
 
-def _make_inner_solver(A: sp.csr_matrix, tol: float, inner: str):
-    if inner == "direct":
-        lu = spla.splu(A.tocsc())
-        return lambda b: lu.solve(b)
-    if inner == "pcg":
-        # tol/100 can undershoot the attainable floor; the CG loop stalls out
-        # gracefully, so slave it but keep a rounding-level cushion.
-        rtol = max(tol / 100.0, 1e-15)
-        n = A.shape[0]
-        max_iter = 20 * n + 200
-        return lambda b: _jacobi_pcg(A, b, np.zeros_like(b), rtol, max_iter)
-    raise ValueError(f"inner solver must be 'direct' or 'pcg', got {inner!r}")
+_BLAS_THREADS = _openblas_thread_controls()
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved: list[int] = []
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS in use at one thread while any solve runs.
+
+    The band calls are far too small to gain from threads: with one thread
+    per core on 2 cores, dpbtrf took 9.3 ms a call at m = 32 instead of about
+    0.5 ms.  One thread also keeps the rounding of the dot products, and so
+    the results, independent of the thread count.  Solves may overlap in a
+    worker pool, so the previous counts come back when the last one leaves.
+    """
+    global _blas_users, _blas_saved
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = [get() for get, _ in _BLAS_THREADS]
+            for _, put in _BLAS_THREADS:
+                put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                for (_, put), n in zip(_BLAS_THREADS, _blas_saved):
+                    put(n)
+
+
+def _factor_shifted(sys: SparseSystem):
+    """Banded Cholesky factor of A - shift M (LAPACK dpbtrf), upper form.
+
+    The bandwidth is read from the matrices.  A failed factorisation means
+    A - shift M is not positive definite, i.e. lambda1 <= shift.
+    """
+    n = sys.n_dof
+    rows, cols, vals = [], [], []
+    for mat, scale in ((sys.A, 1.0), (sys.M, -sys.shift)):
+        rows.append(np.repeat(np.arange(n), np.diff(mat.indptr)))
+        cols.append(mat.indices)
+        vals.append(scale * mat.data)
+    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
+    upper = cols >= rows
+    rows, cols, vals = rows[upper], cols[upper], vals[upper]
+    u = int((cols - rows).max())
+    # entry (i, j) of the upper band sits at ab[u + i - j, j]; bincount sums
+    # duplicates, and Fortran order lets LAPACK factor ab in place
+    ab = np.bincount(
+        (u + rows - cols) + (u + 1) * cols, weights=vals, minlength=(u + 1) * n
+    ).reshape((u + 1, n), order="F")
+    try:
+        return sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise EigenSolveError(
+            f"A - sigma M is not positive definite at sigma = {sys.shift!r}, "
+            f"so lambda1 <= sigma, against the certified bound ({exc})"
+        ) from exc
 
 
 def _check_system(sys: SparseSystem):
@@ -133,17 +171,20 @@ def _check_system(sys: SparseSystem):
             raise EigenSolveError(f"{name} is not usable (nonpositive diagonal or NaN)")
 
 
+@_one_blas_thread()
 def _iterate(
     sys: SparseSystem,
     x0: np.ndarray,
     tol: float,
     max_iter: int,
-    inner: str,
     project=None,
 ):
     """Shared inverse-iteration loop; ``project`` deflates after every step."""
     A, M = sys.A, sys.M
-    solve = _make_inner_solver(A, tol, inner)
+    factor = (_factor_shifted(sys), False)
+
+    def solve(b):
+        return sla.cho_solve_banded(factor, b, overwrite_b=True, check_finite=False)
 
     def m_normalize(v):
         nrm2 = float(v @ (M @ v))
@@ -178,9 +219,9 @@ def _iterate(
         pair = EigenPair(lam, x, res, it)
         # Near machine precision the iterate can settle into a short cycle of
         # floating-point fixed points whose one-step difference never drops
-        # below an absolute tol; the two-step difference then vanishes.
+        # below tol; the two-step difference then vanishes.
         diffs = [abs(lam - old) for old in history[-2:]]
-        lam_converged = bool(diffs) and min(diffs) <= tol
+        lam_converged = bool(diffs) and min(diffs) <= tol * lam
         if lam_converged and res <= 10.0 * tol * lam:
             return pair
         if res < best_res * (1.0 - 1e-3):
@@ -203,7 +244,7 @@ def _iterate(
 
 
 def smallest_eigenpair(
-    sys: SparseSystem, tol: float = 1e-14, max_iter: int = 10000, inner: str = "direct"
+    sys: SparseSystem, tol: float = 1e-14, max_iter: int = 10000
 ) -> EigenPair:
     """Smallest eigenpair of A u = lambda M u by inverse power iteration.
 
@@ -214,7 +255,7 @@ def smallest_eigenpair(
         raise ValueError("tol must be positive")
     _check_system(sys)
     x0 = np.ones(sys.n_dof)
-    return _iterate(sys, x0, tol, max_iter, inner)
+    return _iterate(sys, x0, tol, max_iter)
 
 
 def second_eigenpair(
@@ -222,7 +263,6 @@ def second_eigenpair(
     first: EigenPair,
     tol: float = 1e-14,
     max_iter: int = 10000,
-    inner: str = "direct",
 ) -> EigenPair:
     """Second-smallest eigenpair via M-orthogonal deflation against ``first``.
 
@@ -242,7 +282,7 @@ def second_eigenpair(
     # deterministic start with no mesh symmetry, so all eigencomponents are hit
     n = sys.n_dof
     x0 = np.cos(1.2345 * np.arange(n)) + 0.5
-    pair = _iterate(sys, x0, tol, max_iter, inner, project=project)
+    pair = _iterate(sys, x0, tol, max_iter, project=project)
     if pair.value <= first.value * (1.0 + 1e-12):
         raise EigenSolveError(
             f"deflated eigenvalue {pair.value} did not separate from {first.value}",
@@ -256,9 +296,8 @@ def estimate_gap(
     m: int,
     y_samples,
     tol: float = 1e-12,
-    tol2: float = 1e-6,
+    tol2: float = 1e-8,
     max_iter: int = 10000,
-    inner: str = "direct",
 ) -> GapReport:
     """Minimum sampled relative spectral gap 1 - lambda1/lambda2.
 
@@ -266,8 +305,12 @@ def estimate_gap(
     of the true uniform gap.  lambda2 uses its own tolerance ``tol2``:
     models can pass through near-degenerate lambda2/lambda3 clusters where
     the deflated eigenvector converges arbitrarily slowly although the
-    eigenvalue itself (all the gap needs) settles quickly.  Solver failures
-    are re-raised with the index of the offending sample attached.
+    eigenvalue itself (all the gap needs) settles quickly.  Both tolerances
+    are relative; near such a cluster the deflated iteration contracts by
+    about lambda2/lambda3 per step, so the error in lambda2 is some hundreds
+    of times its last step, and ``tol2`` is kept that much below the accuracy
+    the gap needs.  Solver failures are re-raised with the index of the
+    offending sample attached.
     """
     samples = list(y_samples)
     if not samples:
@@ -277,8 +320,8 @@ def estimate_gap(
     for k, y in enumerate(samples):
         try:
             system = asm.system(y)
-            p1 = smallest_eigenpair(system, tol, max_iter, inner)
-            p2 = second_eigenpair(system, p1, max(tol, tol2), max_iter, inner)
+            p1 = smallest_eigenpair(system, tol, max_iter)
+            p2 = second_eigenpair(system, p1, max(tol, tol2), max_iter)
         except EigenSolveError as exc:
             raise EigenSolveError(f"sample {k} (y={y!r}): {exc}", last=exc.last) from exc
         gap = 1.0 - p1.value / p2.value

@@ -99,11 +99,16 @@ def build_mesh(m: int) -> Mesh:
 
 @dataclass(frozen=True)
 class SparseSystem:
-    """Stiffness-plus-reaction matrix A and weighted mass matrix M (CSR)."""
+    """Stiffness-plus-reaction matrix A and weighted mass matrix M (CSR).
+
+    ``shift`` is a certified strict lower bound on the smallest eigenvalue;
+    the eigensolver factors A - shift M.  Systems built by hand keep 0.
+    """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
     n_dof: int
+    shift: float = 0.0
 
 
 def _scatter(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
@@ -132,12 +137,46 @@ def _scatter(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
+def _stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from per-triangle mean diffusion to the data of A.
+
+    Row k of the map holds the local stiffness entries that land on the k-th
+    stored entry of the CSR pattern (indptr, indices); column o * n_cells + t
+    belongs to triangle t of orientation o.
+    """
+    n = mesh.n_dof
+    n_cells = mesh.m * mesh.m
+    # one key per stored entry, ascending: CSR rows with sorted indices
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    cells = np.arange(n_cells, dtype=np.int64)
+    pos, col, val = [], [], []
+    for o, g in enumerate((_G_LOWER, _G_UPPER)):
+        dofs = mesh.tri_dofs[o]
+        for p in range(3):
+            for q in range(3):
+                if g[p, q] == 0.0:
+                    continue
+                r = dofs[:, p]
+                c = dofs[:, q]
+                keep = (r >= 0) & (c >= 0)
+                pos.append(np.searchsorted(keys, r[keep] * n + c[keep]))
+                col.append(o * n_cells + cells[keep])
+                val.append(np.full(pos[-1].size, g[p, q]))
+    return sp.csr_matrix(
+        (np.concatenate(val), (np.concatenate(pos), np.concatenate(col))),
+        shape=(keys.size, 2 * n_cells),
+    )
+
+
 class Assembler:
     """Repeated assembly for one (mesh, model) pair at varying parameters.
 
     Caches the midpoint evaluation tables of the diffusion field and, since
     b and c do not depend on the parameters for any built-in model, the
-    entire mass matrix and reaction contribution.
+    entire mass matrix and reaction contribution.  The sparsity pattern does
+    not depend on the parameters either: A shares the pattern of M, and its
+    data is one sparse product of a fixed map with the per-triangle mean
+    diffusion, plus the cached reaction data.
     """
 
     def __init__(self, mesh: Mesh, model: CoefficientModel):
@@ -147,15 +186,24 @@ class Assembler:
         scale = mesh.h * mesh.h / 6.0
         b_mid = model.b(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
         c_mid = model.c(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
-        self._b_blocks = scale * np.einsum("otk,kpq->otpq", b_mid, _MID_OUTER)
         self._M = _scatter(mesh, scale * np.einsum("otk,kpq->otpq", c_mid, _MID_OUTER))
+        # _scatter keeps every local entry, zeros included, so the reaction
+        # part has the pattern of M entry for entry
+        b_blocks = scale * np.einsum("otk,kpq->otpq", b_mid, _MID_OUTER)
+        self._b_data = _scatter(mesh, b_blocks).data
+        self._indptr = self._M.indptr.copy()
+        self._indices = self._M.indices.copy()
+        self._map = _stiffness_map(mesh, self._indptr, self._indices)
+        # conforming P1 with frozen coefficients in the certified ranges:
+        # lambda1_h >= (a_lo / c_hi) * lambda1 of the Laplacian = CHI1 a_lo / c_hi
+        self._shift = CHI1 * model.bounds.a_lo / model.bounds.c_hi
 
     def system(self, y) -> SparseSystem:
-        a_mid = self.model.a_cached(self._a_cache, y)
-        a_mean = a_mid.mean(axis=2)
-        g = np.stack([_G_LOWER, _G_UPPER])
-        blocks = np.einsum("ot,opq->otpq", a_mean, g) + self._b_blocks
-        return SparseSystem(_scatter(self.mesh, blocks), self._M, self.mesh.n_dof)
+        a_mean = self.model.a_cached(self._a_cache, y).mean(axis=2)
+        data = self._map @ a_mean.ravel() + self._b_data
+        n = self.mesh.n_dof
+        A = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
+        return SparseSystem(A, self._M, n, self._shift)
 
 
 def assemble(mesh: Mesh, model: CoefficientModel, y) -> SparseSystem:

@@ -195,8 +195,11 @@ def cbc_construct(
 
     Each z_j is chosen greedily among the odd integers in [1, n); the POD
     order recursion keeps per-point accumulators P(k, ell) of the subset
-    sums of order ell (capped at ``order_cap``).  Deterministic: ties break
-    toward the smallest candidate.
+    sums of order ell (capped at ``order_cap``).  Deterministic: of equal
+    computed scores the smallest candidate wins.  Candidates that tie in exact
+    arithmetic are told apart by the rounding of their scores, so the pick
+    among them need not be the smallest: every odd z_1 scores the same
+    exactly, yet z_1 is 511 for (s, n) = (20, 2^10) and 3 for (100, 2^11).
     """
     n = _require_pow2(n)
     if s < 1 or s > w.s:
@@ -391,7 +394,6 @@ def rmse_study(
     weights: PODWeights | None = None,
     z_by_level: dict[int, Sequence[int]] | None = None,
     tol: float = 1e-14,
-    inner: str = "direct",
     with_mc: bool = True,
 ) -> RmseStudyResult:
     """Relative RMSE of QMC and MC estimates of the mean smallest eigenvalue.
@@ -423,7 +425,7 @@ def rmse_study(
     asm = Assembler(build_mesh(m), model)
 
     def F(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol, inner=inner).value
+        return smallest_eigenpair(asm.system(y), tol=tol).value
 
     shifts = np.stack([prng_stream(master_seed, r).random(s) for r in range(R)])
     per_level: dict[int, np.ndarray] = {}
@@ -458,7 +460,6 @@ def mc_study(
     replicates: int,
     master_seed: int,
     tol: float = 1e-14,
-    inner: str = "direct",
 ) -> list[ErrorRecord]:
     """MC-only convergence record: relative RMSE over independent replicates.
 
@@ -471,7 +472,7 @@ def mc_study(
     asm = Assembler(build_mesh(m), model)
 
     def F(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol, inner=inner).value
+        return smallest_eigenpair(asm.system(y), tol=tol).value
 
     counter = 0
     per_level: list[np.ndarray] = []
@@ -494,7 +495,6 @@ def truncation_study(
     s_list: Sequence[int],
     rule: LatticeRule,
     tol: float = 1e-14,
-    inner: str = "direct",
 ) -> list[tuple[int, float]]:
     """Truncation-dimension errors |I_ref - I_s| of the mean eigenvalue.
 
@@ -510,7 +510,7 @@ def truncation_study(
     asm = Assembler(build_mesh(m), model)
 
     def lam(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol, inner=inner).value
+        return smallest_eigenpair(asm.system(y), tol=tol).value
 
     estimates = []
     for s in s_list:

@@ -82,7 +82,6 @@ def gl_study(
     n_list: Sequence[int],
     n_star: int,
     tol: float = 1e-14,
-    inner: str = "direct",
     eigenvalue_map: Callable[[float], float] | None = None,
 ) -> list[tuple[int, float]]:
     """Relative Gauss-Legendre error of the parameter integral of lambda1.
@@ -103,7 +102,7 @@ def gl_study(
         asm = Assembler(build_mesh(m), model)
 
         def eigenvalue_map(y: float) -> float:
-            return smallest_eigenpair(asm.system([y]), tol=tol, inner=inner).value
+            return smallest_eigenpair(asm.system([y]), tol=tol).value
 
     cache: dict[bytes, float] = {}
     rules = {n: gauss_legendre(n) for n in [*n_list, n_star]}

@@ -285,7 +285,7 @@ def test_criterion_8_bound_consistency():
                 y = np.maximum(y, -0.999999)
             sysm = asm.system(y)
             p1 = g.smallest_eigenpair(sysm, tol=1e-12)
-            p2 = g.second_eigenpair(sysm, p1, tol=1e-6)
+            p2 = g.second_eigenpair(sysm, p1, tol=1e-8)
             gap = 1.0 - p1.value / p2.value
             worst_lam = max(worst_lam, p1.value)
             worst_gap = (min(worst_gap[0], gap), max(worst_gap[1], gap))

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from support import random_spd_pair, system_from_dense
 
-from gevrey_evp.coefficients import model_by_name
+from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
+from gevrey_evp import eigensolver
 from gevrey_evp.eigensolver import (
     EigenSolveError,
     estimate_gap,
@@ -55,12 +58,6 @@ class TestOracleAgreement:
             p2 = second_eigenpair(sysm, p1, tol=1e-14)
             assert abs(p2.value - w[1]) <= 1e-10 * w[1]
 
-    def test_pcg_matches_direct(self):
-        sysm = assemble(build_mesh(8), model_by_name("gl-gevrey3"), [0.3])
-        a = smallest_eigenpair(sysm, tol=1e-13, inner="direct")
-        b = smallest_eigenpair(sysm, tol=1e-13, inner="pcg")
-        assert b.value == pytest.approx(a.value, rel=1e-11)
-
 
 class TestContracts:
     def test_residual_invariant(self):
@@ -110,6 +107,66 @@ class TestContracts:
         bad = system_from_dense(np.diag([1.0, -2.0]), np.eye(2))
         with pytest.raises(EigenSolveError):
             smallest_eigenpair(bad, tol=1e-12)
+
+    def test_stopping_is_scale_invariant(self):
+        # scaling A and the shift by a power of two is exact, so every
+        # iterate is the same and only a relative test stops at the same step
+        sysm = assemble(build_mesh(16), model_by_name("gl-analytic"), [-0.643])
+        scaled = replace(sysm, A=sysm.A * 1024.0, shift=sysm.shift * 1024.0)
+        a = smallest_eigenpair(sysm)
+        b = smallest_eigenpair(scaled)
+        assert b.iterations == a.iterations
+        assert b.value == 1024.0 * a.value
+
+
+class TestBlasThreads:
+    def test_solve_holds_one_blas_thread(self, monkeypatch):
+        threads = [4]
+        seen = []
+        factor = eigensolver._factor_shifted
+        monkeypatch.setattr(eigensolver, "_BLAS_THREADS",
+                            ((lambda: threads[0], lambda n: threads.__setitem__(0, n)),))
+        monkeypatch.setattr(eigensolver, "_factor_shifted",
+                            lambda sys: seen.append(threads[0]) or factor(sys))
+        sysm = assemble(build_mesh(6), model_by_name("constant"), [0.0])
+        with eigensolver._one_blas_thread():
+            smallest_eigenpair(sysm)
+            assert threads == [1]  # an overlapping solve does not restore early
+        assert seen == [1]
+        assert threads == [4]
+
+    def test_thread_count_restored(self):
+        # an empty tuple (no OpenBLAS found) leaves nothing to restore
+        before = [get() for get, _ in eigensolver._BLAS_THREADS]
+        smallest_eigenpair(assemble(build_mesh(6), model_by_name("constant"), [0.0]))
+        assert [get() for get, _ in eigensolver._BLAS_THREADS] == before
+
+
+def _box_corners(model):
+    """Both ends of each parameter axis at once: all -h and all +h."""
+    h = model.param_halfwidth
+    low = np.full(min(model.dim, 20), -h)
+    if model.kind == "gl-gevrey3":
+        low[0] = np.nextafter(-1.0, 0.0)  # the model is undefined at y = -1
+    return [low, np.full(low.size, h)]
+
+
+class TestCertifiedShift:
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_shift_below_lambda1_at_corners(self, name):
+        model = model_by_name(name)
+        for m in (8, 16):
+            for y in _box_corners(model):
+                sysm = assemble(build_mesh(m), model, y)
+                lam1 = sla.eigh(sysm.A.toarray(), sysm.M.toarray(),
+                                eigvals_only=True, subset_by_index=[0, 0])[0]
+                assert 0.0 < sysm.shift < lam1
+
+    def test_shift_above_lambda1_raises(self):
+        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.4])
+        lam1 = smallest_eigenpair(sysm).value
+        with pytest.raises(EigenSolveError, match="sigma"):
+            smallest_eigenpair(replace(sysm, shift=1.05 * lam1))
 
 
 class TestGap:

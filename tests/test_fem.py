@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gevrey_evp.coefficients import model_by_name
+from gevrey_evp import fem
+from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
 from gevrey_evp.eigensolver import smallest_eigenpair
 from gevrey_evp.fem import Assembler, assemble, build_mesh, laplace_lambda1_reference
 
@@ -64,6 +65,33 @@ class TestAssembly:
             b = assemble(mesh, model, [y])
             assert np.array_equal(a.A.data, b.A.data)
             assert np.array_equal(a.M.data, b.M.data)
+
+    @pytest.mark.parametrize(
+        "model",
+        [model_by_name(name) for name in MODEL_NAMES]
+        + [model_by_name("constant", a=1.5, b=2.5, c=0.75)],
+        ids=[*MODEL_NAMES, "constant-reaction"],
+    )
+    def test_fixed_pattern_matches_scatter(self, model):
+        # reference: the per-triangle blocks scattered through COO -> CSR
+        mesh = build_mesh(11)
+        asm = Assembler(mesh, model)
+        scale = mesh.h * mesh.h / 6.0
+        b_mid = model.b(mesh.mid_x1, mesh.mid_x2, [0.0])
+        b_blocks = scale * np.einsum("otk,kpq->otpq", b_mid, fem._MID_OUTER)
+        g = np.stack([fem._G_LOWER, fem._G_UPPER])
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            y = (rng.random(min(model.dim, 20)) - 0.5) * model.param_halfwidth
+            a_mean = model.a(mesh.mid_x1, mesh.mid_x2, y).mean(axis=2)
+            ref = fem._scatter(mesh, np.einsum("ot,opq->otpq", a_mean, g) + b_blocks)
+            A = asm.system(y).A
+            assert np.array_equal(A.indptr, ref.indptr)
+            assert np.array_equal(A.indices, ref.indices)
+            # a diagonal entry sums six exact products, and COO -> CSR adds
+            # duplicates in an order of its own, so the sums can differ in
+            # the last two bits
+            assert np.all(np.abs(A.data - ref.data) <= 2 * np.spacing(np.abs(ref.data)))
 
     def test_coercivity_vs_unit_stiffness(self):
         # discrete analogue of a_lo ||v||^2 <= A_y(v, v)

@@ -269,7 +269,10 @@ class TestStudies:
         records = mc_study(model_by_name("constant"), 4, 2, [4, 8], 3, 5, tol=1e-12)
         assert [r.n for r in records] == [4, 8]
         for r in records:
-            assert r.rmse == 0.0
+            # replicates are identical; the reference mean can sit one
+            # rounding away from them
+            assert np.all(r.per_shift == r.per_shift[0])
+            assert r.rmse <= 1e-15
 
     def test_vector_roundtrip(self, tmp_path):
         path = tmp_path / "vec.txt"
