@@ -213,7 +213,7 @@ def cbc_construct(
     P[:, 0] = 1.0
     z = np.zeros(s, dtype=np.int64)
     errors = np.zeros(s)
-    block = 2048
+    block = 256  # candidates scored at once: three (block, n) temporaries each
     for d in range(1, s + 1):
         b = w.product_factor(d)
         q = P[:, 0:cap] @ gammas[1 : cap + 1]  # q(k) = sum_l Gamma_l P(k, l-1)

@@ -169,6 +169,99 @@ class TestCertifiedShift:
             smallest_eigenpair(replace(sysm, shift=1.05 * lam1))
 
 
+def _dense_eigenvalues(sysm, count):
+    return sla.eigh(sysm.A.toarray(), sysm.M.toarray(), eigvals_only=True,
+                    subset_by_index=[0, count - 1])
+
+
+class TestBlockSecond:
+    def test_exact_degeneracy(self):
+        # the 5-point Laplacian on a 10 x 10 grid is invariant under x <-> y
+        # and under either reflection, so lambda2 = lambda3 exactly (the P1
+        # meshes keep only x <-> y, and there lambda2 < lambda3)
+        t = 2.0 * np.eye(10) - np.eye(10, k=1) - np.eye(10, k=-1)
+        sysm = system_from_dense(np.kron(t, np.eye(10)) + np.kron(np.eye(10), t),
+                                 np.eye(100))
+        w = _dense_eigenvalues(sysm, 3)
+        assert abs(w[2] - w[1]) <= 1e-13 * w[1]
+        p1 = smallest_eigenpair(sysm)
+        p2 = second_eigenpair(sysm, p1)
+        assert abs(p2.value - w[1]) <= 1e-10 * w[1]
+        assert abs(p1.vector @ (sysm.M @ p2.vector)) <= 1e-10
+
+    def test_gap_argmin_matches_dense(self):
+        # lambda2 ~ lambda3 at these samples; deflated power iteration
+        # stopped 1.5e-6 away from the dense value here
+        model = model_by_name("qmc-analytic")
+        samples = np.random.default_rng(31415).random((8, 20)) - 0.5
+        rep = estimate_gap(model, 32, samples)
+        w = _dense_eigenvalues(assemble(build_mesh(32), model, rep.y_argmin), 2)
+        assert abs(rep.lambda1 - w[0]) <= 1e-10 * w[0]
+        assert abs(rep.lambda2 - w[1]) <= 1e-10 * w[1]
+
+    def test_two_dof_block_is_one_vector(self, monkeypatch):
+        blocks = []
+        block_iterate = eigensolver._block_iterate
+        monkeypatch.setattr(eigensolver, "_block_iterate",
+                            lambda sys, u1, X0, *rest: blocks.append(X0.shape)
+                            or block_iterate(sys, u1, X0, *rest))
+        sysm = system_from_dense(np.diag([1.0, 3.0]), np.eye(2))
+        p2 = second_eigenpair(sysm, smallest_eigenpair(sysm))
+        assert blocks == [(2, 1)]
+        assert p2.value == pytest.approx(3.0, rel=1e-13)
+
+    def test_one_dof_has_no_second(self):
+        sysm = system_from_dense(np.diag([2.0]), np.eye(1))
+        with pytest.raises(EigenSolveError, match="second"):
+            second_eigenpair(sysm, smallest_eigenpair(sysm))
+
+    def test_determinism(self):
+        sysm = assemble(build_mesh(12), model_by_name("gl-gevrey3"), [0.4])
+        p1 = smallest_eigenpair(sysm)
+        a = second_eigenpair(sysm, p1)
+        b = second_eigenpair(sysm, p1)
+        assert a.value == b.value
+        assert a.iterations == b.iterations
+        assert np.array_equal(a.vector, b.vector)
+
+
+class TestExits:
+    """Each exit of the shared stopping rule, reached by lambda1 and lambda2.
+
+    Which fallback a tol below the rounding floor leaves through depends on
+    the last bits of the iterates; these cases were found with OpenBLAS held
+    at one thread, as every solve holds it.
+    """
+
+    def _pairs(self, y, tol):
+        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), y)
+        p1 = smallest_eigenpair(sysm, tol=tol)
+        p2 = second_eigenpair(sysm, p1, tol=tol)
+        w = _dense_eigenvalues(sysm, 2)
+        for pair, ref in zip((p1, p2), w):
+            assert abs(pair.value - ref) <= 1e-12 * ref
+        return p1, p2
+
+    def test_primary_exit(self):
+        p1, p2 = self._pairs([0.25], 1e-14)
+        assert (p1.exit_reason, p2.exit_reason) == ("step", "step")
+
+    def test_residual_floor_exit(self):
+        p1, p2 = self._pairs([0.25], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("floor", "floor")
+
+    def test_plateau_exit(self):
+        p1, p2 = self._pairs([-0.7], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("floor", "plateau")
+
+    def test_unconverged_pair_has_no_exit(self):
+        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.0])
+        with pytest.raises(EigenSolveError) as err:
+            second_eigenpair(sysm, smallest_eigenpair(sysm), max_iter=3)
+        assert err.value.last.iterations == 3
+        assert err.value.last.exit_reason == ""
+
+
 class TestGap:
     def test_constant_model_gap_y_independent(self):
         const = model_by_name("constant")

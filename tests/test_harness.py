@@ -186,6 +186,14 @@ class TestCli:
         assert (tmp_path / "mat.A.mtx").exists()
         assert (tmp_path / "mat.M.mtx").exists()
 
+    def test_solve_evp_second_below_rounding_floor(self, capsys):
+        # no tol reaches 10 * tol * lambda at 1e-20; both solves still return
+        code = main(["solve-evp", "--model", "gl-analytic", "--m", "8",
+                     "--y", "0.25", "--tol", "1e-20", "--second"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "lambda2 = " in out
+
     def test_validation_exit_code(self, capsys):
         assert main(["gl-study", "--model", "not-a-model"]) == 1
         assert main(["solve-evp", "--model", "gl-analytic", "--m", "1"]) == 1
