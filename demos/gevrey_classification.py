@@ -15,28 +15,21 @@ endpoint behaviour on a square-root scale.
 import numpy as np
 
 from gevrey_evp import (
-    Assembler,
-    build_mesh,
+    axis_eigenvalue_map,
     classify_decay,
     fd_derivative,
     legendre_coeffs,
     model_by_name,
-    smallest_eigenpair,
 )
 
 MESH_M = 32
 K = 20
-
-
-def eigenvalue_map(model):
-    asm = Assembler(build_mesh(MESH_M), model)
-    half = model.param_halfwidth
-    return lambda t: smallest_eigenpair(asm.system([t * half])).value
+TOL = 1e-14
 
 
 for name in ("gl-analytic", "gl-gevrey3"):
     model = model_by_name(name)
-    f = eigenvalue_map(model)
+    f = axis_eigenvalue_map(model, MESH_M, TOL)
     coeffs = legendre_coeffs(f, K, quad_n=64)
     fit = classify_decay(coeffs)
     print(f"{name}: classified delta = {fit.delta} "
@@ -55,7 +48,7 @@ for delta in (1.0, 2.0, 3.0):
           f"(goodness {fit.goodness:.6f})")
 
 # low-order derivatives stay directly checkable by central differences
-f = eigenvalue_map(model_by_name("gl-analytic"))
+f = axis_eigenvalue_map(model_by_name("gl-analytic"), MESH_M, TOL)
 val, consistency = fd_derivative(f, 0.0, order=1, h=1e-3, interval=(-1, 1))
 print(f"\nd lambda1 / dy at y=0 (gl-analytic): {val:.6f} "
       f"(step-halving consistency {consistency:.1e})")

@@ -70,8 +70,7 @@ from .qmc import (
     qmc_estimate,
     rmse_study,
     truncation_study,
-    worst_case_error_sq,
 )
-from .quad1d import GaussRule, gauss_legendre, gl_study
+from .quad1d import GaussRule, axis_eigenvalue_map, gauss_legendre, gl_study
 
 __version__ = "0.1.0"

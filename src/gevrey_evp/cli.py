@@ -24,18 +24,9 @@ from .derivcheck import classify_decay, legendre_coeffs
 from .eigensolver import EigenSolveError, second_eigenpair, smallest_eigenpair
 from .fem import Assembler, build_mesh
 from .harness import ConfigError, RunConfig, emit_csv, emit_svg, fit_rate, parse_config
-from .quad1d import gl_study
+from .quad1d import axis_eigenvalue_map, gl_study
 
 _EIGVEC_MAGIC = b"GEVREVP\x00"  # 8 bytes; header is magic + little-endian u64 n_dof
-
-_FLAG_TYPES = {
-    "int": int,
-    "float": float,
-    "str": str,
-    "intpair": str,
-    "intlist": str,
-    "floatlist": str,
-}
 
 _FLAG_HELP = {
     "tol": "relative eigensolver tolerance: stop once successive Rayleigh "
@@ -47,8 +38,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gevrey-evp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for experiment, schema in harness._EXPERIMENTS.items():
-        name = "checks" if experiment == "checks" else experiment
-        p = sub.add_parser(name)
+        p = sub.add_parser(experiment)
         p.add_argument("--config", default=None, help="config file path")
         for key, spec in schema.items():
             if experiment == "checks" and key == "which":
@@ -58,56 +48,16 @@ def _build_parser() -> argparse.ArgumentParser:
             if spec.typ == "bool":
                 p.add_argument(flag, action="store_true", default=None)
             else:
-                p.add_argument(flag, type=_FLAG_TYPES[spec.typ], default=None,
-                               help=_FLAG_HELP.get(key))
+                p.add_argument(flag, type=str, default=None, help=_FLAG_HELP.get(key))
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    experiment = args.command
-    schema = harness._EXPERIMENTS[experiment]
+    text = f"[{args.command}]\n"
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        if cfg.experiment != experiment:
-            raise ConfigError(
-                [f"config is for [{cfg.experiment}], command is {experiment}"]
-            )
-    else:
-        cfg = None
-    fields = dict(cfg.fields) if cfg else {}
-    overrides = vars(args)
-    text_lines = []
-    for key, spec in schema.items():
-        val = overrides.get(key)
-        if val is None:
-            continue
-        if isinstance(val, bool):
-            fields[key] = val
-        elif spec.typ in ("intpair", "intlist", "floatlist"):
-            text_lines.append((key, str(val)))
-        else:
-            msg = spec.check(val) if spec.check else None
-            if msg is not None:
-                raise ConfigError([f"flag --{key.replace('_', '-')}: {msg}"])
-            fields[key] = val
-    for key, raw in text_lines:
-        spec = schema[key]
-        value = harness._parse_value(spec.typ, raw)
-        msg = spec.check(value) if spec.check else None
-        if msg is not None:
-            raise ConfigError([f"flag --{key.replace('_', '-')}: {msg}"])
-        fields[key] = value
-    for key, spec in schema.items():
-        if key not in fields:
-            if spec.default is None:
-                raise ConfigError([f"missing required option {key!r}"])
-            fields[key] = spec.default
-    out = RunConfig(experiment, fields)
-    errs = harness._cross_checks(out)
-    if errs:
-        raise ConfigError(errs)
-    return out
+            text = fh.read()
+    return parse_config(text, vars(args))
 
 
 # -- subcommand bodies --------------------------------------------------------
@@ -170,20 +120,9 @@ def _run_checks_combinatorics(cfg: RunConfig) -> int:
     return 2 if failed else 0
 
 
-def _single_axis_eigenvalue_map(model, m: int, tol: float):
-    """lambda1 along the first parameter, rescaled to t in [-1, 1]."""
-    asm = Assembler(build_mesh(m), model)
-    half = model.param_halfwidth
-
-    def f(t: float) -> float:
-        return smallest_eigenpair(asm.system([t * half]), tol=tol).value
-
-    return f
-
-
 def _run_checks_gevrey(cfg: RunConfig) -> int:
     model = resolve_model(cfg["model"])
-    f = _single_axis_eigenvalue_map(model, cfg["m"], 1e-14)
+    f = axis_eigenvalue_map(model, cfg["m"], 1e-14)
     coeffs = legendre_coeffs(f, cfg["K"], cfg["quad_n"])
     fit = classify_decay(coeffs)
     if cfg["out"]:
@@ -225,17 +164,12 @@ def _run_solve_evp(cfg: RunConfig) -> int:
 
 def _run_gl_study(cfg: RunConfig) -> int:
     model = resolve_model(cfg["model"])
-    # models with a narrower parameter box are probed along the rescaled axis
-    eigenvalue_map = None
-    if model.param_halfwidth != 1.0:
-        eigenvalue_map = _single_axis_eigenvalue_map(model, cfg["m"], cfg["tol"])
     records = gl_study(
         model,
         cfg["m"],
         list(range(cfg["n_min"], cfg["n_max"] + 1)),
         cfg["n_star"],
         tol=cfg["tol"],
-        eigenvalue_map=eigenvalue_map,
     )
     meta = {
         "experiment": "gl-study",

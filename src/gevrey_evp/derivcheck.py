@@ -15,8 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quad1d import gauss_legendre
-from .util import ordered_map
+from .quad1d import _legendre_table, gauss_legendre
 
 __all__ = [
     "legendre_coeffs",
@@ -27,17 +26,6 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-13  # eigensolver tolerance 1e-14 times conditioning headroom
-
-
-def _legendre_table(K: int, x: np.ndarray) -> np.ndarray:
-    """P_0..P_K at the points x, shape (K+1, len(x))."""
-    table = np.zeros((K + 1, x.size))
-    table[0] = 1.0
-    if K >= 1:
-        table[1] = x
-    for k in range(1, K):
-        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
-    return table
 
 
 def legendre_coeffs(
@@ -51,7 +39,7 @@ def legendre_coeffs(
     if quad_n < 2 * K:
         raise ValueError(f"need quad_n >= 2K = {2 * K}, got {quad_n}")
     rule = gauss_legendre(quad_n)
-    values = np.array(ordered_map(lambda x: float(f(float(x))), rule.nodes))
+    values = np.array([float(f(float(x))) for x in rule.nodes])
     table = _legendre_table(K, rule.nodes)
     k = np.arange(K + 1)
     return (2 * k + 1) / 2.0 * (table @ (rule.weights * values))

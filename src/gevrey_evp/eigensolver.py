@@ -122,8 +122,9 @@ def _one_blas_thread():
     The band calls are far too small to gain from threads: with one thread
     per core on 2 cores, dpbtrf took 9.3 ms a call at m = 32 instead of about
     0.5 ms.  One thread also keeps the rounding of the dot products, and so
-    the results, independent of the thread count.  Solves may overlap in a
-    worker pool, so the previous counts come back when the last one leaves.
+    the results, independent of the thread count.  The library runs its
+    solves one after another, but callers may overlap solves from threads of
+    their own, so the previous counts come back when the last one leaves.
     """
     global _blas_users, _blas_saved
     with _blas_lock:

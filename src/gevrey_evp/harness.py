@@ -1,8 +1,9 @@
 """Experiment configuration, rate fitting, and CSV/SVG emission.
 
 Config files are line-oriented ``key = value`` text with a single
-``[experiment]`` section.  Validation reports every violation (with line
-numbers), not just the first.  CSV is the contract format: floats are
+``[experiment]`` section; command-line flags override their lines.
+Validation reports every violation (with line numbers, or the flag), not
+just the first.  CSV is the contract format: floats are
 written as shortest round-trip decimals so emitted files are byte-stable
 and re-parse exactly; SVG plots are dependency-free conveniences.
 """
@@ -32,7 +33,7 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """All config violations, each tagged with its line number."""
+    """All config violations, each tagged with its line number or flag."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
@@ -221,11 +222,16 @@ def _cross_checks(cfg: RunConfig) -> list[str]:
     return errs
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, flags: dict | None = None) -> RunConfig:
     """Parse and fully validate one experiment section.
 
-    Raises ConfigError carrying every violation found, each prefixed with
-    its line number.
+    ``flags`` holds the command line: ``flags["command"]`` names the
+    experiment, which the section must match, and each schema key maps to
+    its raw string (True for a bool flag given) or None when absent; other
+    keys are ignored.  A flag value overrides the file's and is parsed and
+    checked by the same code as a line.  Raises ConfigError carrying every
+    violation found, each prefixed with its line number or its flag (a
+    missing required key has neither).
     """
     errors: list[str] = []
     section: str | None = None
@@ -279,14 +285,31 @@ def parse_config(text: str) -> RunConfig:
         fields[key] = value
     if section is None:
         errors.append("line 1: no [experiment] section found")
+    elif flags is not None and section != flags["command"]:
+        errors.append(f"config is for [{section}], command is {flags['command']}")
     elif section in _EXPERIMENTS:
         schema = _EXPERIMENTS[section]
+        given = {k: v for k, v in (flags or {}).items() if k in schema and v is not None}
+        for key, raw in given.items():
+            spec = schema[key]
+            tag = "flag --" + key.replace("_", "-")
+            try:
+                value = _parse_value(spec.typ, str(raw))
+            except ValueError as exc:
+                errors.append(f"{tag}: {exc}")
+                continue
+            msg = spec.check(value) if spec.check is not None else None
+            if msg is not None:
+                errors.append(f"{tag}: {msg}")
+                continue
+            fields[key] = value
         for key, spec in schema.items():
-            if key not in fields:
-                if spec.default is None:
-                    errors.append(f"line 1: missing required key {key!r}")
-                else:
-                    fields[key] = spec.default
+            if key in fields or key in given:  # a bad flag is reported above
+                continue
+            if spec.default is None:
+                errors.append(f"missing required key {key!r}")
+            else:
+                fields[key] = spec.default
         cfg = RunConfig(section, fields)
         if not errors:
             errors.extend(_cross_checks(cfg))

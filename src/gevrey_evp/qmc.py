@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,7 +31,6 @@ from numpy.random import Generator, Philox
 from .coefficients import CoefficientModel, zeta
 from .eigensolver import EigenSolveError, smallest_eigenpair
 from .fem import Assembler, build_mesh
-from .util import ordered_map
 
 __all__ = [
     "bernoulli_zeta_factor",
@@ -40,7 +38,6 @@ __all__ = [
     "PODWeights",
     "pod_weight",
     "parse_beta_rule",
-    "worst_case_error_sq",
     "cbc_construct",
     "LatticeRule",
     "make_lattice_rule",
@@ -157,31 +154,6 @@ def _require_pow2(n: int) -> int:
     if n < 2 or n & (n - 1):
         raise ValueError(f"point count must be a power of 2 (>= 2), got {n}")
     return n
-
-
-def worst_case_error_sq(
-    z: Sequence[int], n: int, w: PODWeights, max_subset_dim: int = 16
-) -> float:
-    """Shift-averaged squared worst-case error by direct subset enumeration.
-
-    Exponential in the dimension; intended as the small-case oracle for the
-    CBC recursion.
-    """
-    z = np.asarray(z, dtype=np.int64)
-    n = _require_pow2(n)
-    s = z.size
-    if s > max_subset_dim:
-        raise ValueError(f"direct enumeration limited to {max_subset_dim} dims")
-    k = np.arange(n)
-    omega = bernoulli2(((k[None, :] * (z[:, None] % n)) % n) / n)  # (s, n)
-    total = 0.0
-    for ell in range(1, s + 1):
-        for u in combinations(range(1, s + 1), ell):
-            prod = np.ones(n)
-            for j in u:
-                prod = prod * omega[j - 1]
-            total += pod_weight(w, u) * prod.mean()
-    return total
 
 
 def cbc_construct(
@@ -314,20 +286,14 @@ def qmc_estimate(
     """
     per_shift = np.zeros(rule.n_shifts)
     for r in range(rule.n_shifts):
-        pts = lattice_points(rule, r)
-
-        def evaluate(i: int) -> float:
+        total = 0.0
+        for i, y in enumerate(lattice_points(rule, r)):
             try:
-                return F(pts[i])
+                total += F(y)
             except EigenSolveError as exc:
                 raise EigenSolveError(
                     f"integrand failed at shift {r}, point {i + 1}: {exc}"
                 ) from exc
-
-        values = ordered_map(evaluate, range(rule.n))
-        total = 0.0
-        for v in values:  # fixed index order, independent of the worker pool
-            total += v
         per_shift[r] = total / rule.n
     return float(per_shift.mean()), per_shift
 
@@ -346,12 +312,9 @@ def mc_estimate(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-
-    def evaluate(i: int) -> float:
-        y = prng_stream(seed, stream_offset + i).random(s) - 0.5
-        return F(y)
-
-    values = np.array(ordered_map(evaluate, range(n)))
+    values = np.array(
+        [F(prng_stream(seed, stream_offset + i).random(s) - 0.5) for i in range(n)]
+    )
     return float(values.mean()), values
 
 
@@ -381,6 +344,42 @@ def default_weights(model: CoefficientModel, s: int, theta: float = 0.6) -> PODW
 def _relative_rmse(reference: float, estimates: np.ndarray) -> float:
     devs = (reference - estimates) / reference
     return float(np.sqrt(np.mean(devs * devs)))
+
+
+def _lambda1_map(
+    model: CoefficientModel, m: int, tol: float
+) -> Callable[[np.ndarray], float]:
+    """y -> lambda1(y): the smallest FEM eigenvalue on the mesh of parameter m."""
+    asm = Assembler(build_mesh(m), model)
+
+    def lam(y: np.ndarray) -> float:
+        return smallest_eigenpair(asm.system(y), tol=tol).value
+
+    return lam
+
+
+def _mc_replicates(
+    F: Callable[[np.ndarray], float],
+    s: int,
+    n_list: Sequence[int],
+    replicates: int,
+    seed: int,
+    stream_offset: int,
+) -> list[np.ndarray]:
+    """Per level n, ``replicates`` independent n-sample MC estimates of F.
+
+    Samples are numbered across all levels and replicates: sample i draws
+    from stream (seed, stream_offset + i).
+    """
+    counter = stream_offset
+    per_level = []
+    for n in n_list:
+        reps = np.zeros(replicates)
+        for rep in range(replicates):
+            reps[rep], _ = mc_estimate(F, s, n, seed, stream_offset=counter)
+            counter += n
+        per_level.append(reps)
+    return per_level
 
 
 def rmse_study(
@@ -422,11 +421,7 @@ def rmse_study(
         vectors = {n: np.asarray(z_by_level[n], dtype=np.int64) for n in n_list}
         provenance = "supplied"
 
-    asm = Assembler(build_mesh(m), model)
-
-    def F(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol).value
-
+    F = _lambda1_map(model, m, tol)
     shifts = np.stack([prng_stream(master_seed, r).random(s) for r in range(R)])
     per_level: dict[int, np.ndarray] = {}
     for n in n_list:
@@ -439,15 +434,12 @@ def rmse_study(
     ]
 
     mc_records: list[ErrorRecord] = []
-    if with_mc:
-        counter = 0  # global MC sample counter: sample i -> stream (seed, R + i)
-        for n in n_list:
-            reps = np.zeros(mc_replicates)
-            for rep in range(mc_replicates):
-                est, _ = mc_estimate(F, s, n, master_seed, stream_offset=R + counter)
-                counter += n
-                reps[rep] = est
-            mc_records.append(ErrorRecord(n, _relative_rmse(reference, reps), reps))
+    if with_mc:  # MC sample i draws from stream (seed, R + i)
+        per_level_mc = _mc_replicates(F, s, n_list, mc_replicates, master_seed, R)
+        mc_records = [
+            ErrorRecord(n, _relative_rmse(reference, reps), reps)
+            for n, reps in zip(n_list, per_level_mc)
+        ]
 
     return RmseStudyResult(qmc_records, mc_records, reference, vectors, provenance)
 
@@ -469,19 +461,8 @@ def mc_study(
     n_list = [int(n) for n in n_list]
     if not n_list or sorted(n_list) != n_list:
         raise ValueError("n_list must be nonempty and ascending")
-    asm = Assembler(build_mesh(m), model)
-
-    def F(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol).value
-
-    counter = 0
-    per_level: list[np.ndarray] = []
-    for n in n_list:
-        reps = np.zeros(replicates)
-        for rep in range(replicates):
-            reps[rep], _ = mc_estimate(F, s, n, master_seed, stream_offset=counter)
-            counter += n
-        per_level.append(reps)
+    F = _lambda1_map(model, m, tol)
+    per_level = _mc_replicates(F, s, n_list, replicates, master_seed, 0)
     reference = float(per_level[-1].mean())
     return [
         ErrorRecord(n, _relative_rmse(reference, reps), reps)
@@ -507,11 +488,7 @@ def truncation_study(
         raise ValueError("s_list must be nonempty and ascending")
     if max(s_list) >= rule.s:
         raise ValueError("reference rule dimension must exceed max(s_list)")
-    asm = Assembler(build_mesh(m), model)
-
-    def lam(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol).value
-
+    lam = _lambda1_map(model, m, tol)
     estimates = []
     for s in s_list:
 

@@ -16,9 +16,8 @@ import numpy as np
 from .coefficients import CoefficientModel
 from .eigensolver import EigenSolveError, smallest_eigenpair
 from .fem import Assembler, build_mesh
-from .util import ordered_map
 
-__all__ = ["GaussRule", "gauss_legendre", "gl_study"]
+__all__ = ["GaussRule", "gauss_legendre", "axis_eigenvalue_map", "gl_study"]
 
 _MAX_POINTS = 512
 
@@ -35,39 +34,45 @@ class GaussRule:
         return float(self.weights @ np.asarray(values, dtype=float))
 
 
-def _legendre_value_derivative(n: int, x: np.ndarray):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, vectorized in x."""
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+def _legendre_table(K: int, x: np.ndarray) -> np.ndarray:
+    """P_0..P_K at the points x by the three-term recurrence, shape (K+1, len(x))."""
+    table = np.zeros((K + 1, x.size))
+    table[0] = 1.0
+    if K >= 1:
+        table[1] = x
+    for k in range(1, K):
+        table[k + 1] = ((2 * k + 1) * x * table[k] - k * table[k - 1]) / (k + 1)
+    return table
 
 
 def gauss_legendre(n: int) -> GaussRule:
     """n-point Gauss-Legendre rule; exact for polynomials of degree 2n-1."""
     if not 1 <= n <= _MAX_POINTS:
         raise ValueError(f"point count must lie in [1, {_MAX_POINTS}], got {n}")
+
+    def value_derivative(x):
+        """(P_n(x), P_n'(x)), the derivative from P_n and P_{n-1}."""
+        table = _legendre_table(n, x)
+        p, p_prev = table[n], table[n - 1]
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
     nodes = np.zeros(n)
     weights = np.zeros(n)
     half = n // 2
     if n % 2 == 1:
-        _, dp0 = _legendre_value_derivative(n, np.array([0.0]))
+        _, dp0 = value_derivative(np.array([0.0]))
         nodes[half] = 0.0
         weights[half] = 2.0 / dp0[0] ** 2
     if half:
         i = np.arange(1, half + 1)
         x = np.cos(np.pi * (i - 0.25) / (n + 0.5))  # positive roots, descending
         for _ in range(100):
-            p, dp = _legendre_value_derivative(n, x)
+            p, dp = value_derivative(x)
             dx = p / dp
             x = x - dx
             if np.max(np.abs(dx)) <= 1e-15:
                 break
-        p, dp = _legendre_value_derivative(n, x)
+        p, dp = value_derivative(x)
         w = 2.0 / ((1.0 - x * x) * dp * dp)
         nodes[n - half :] = x[::-1]
         nodes[:half] = -x
@@ -76,21 +81,38 @@ def gauss_legendre(n: int) -> GaussRule:
     return GaussRule(n, nodes, weights)
 
 
+def axis_eigenvalue_map(
+    model: CoefficientModel, m: int, tol: float
+) -> Callable[[float], float]:
+    """t -> lambda1(y) along the first parameter, y = t * param_halfwidth.
+
+    The rescaling takes t in [-1, 1] onto the model's parameter interval.
+    Each call assembles the system on the mesh of parameter m and solves it
+    to relative tolerance tol.
+    """
+    asm = Assembler(build_mesh(m), model)
+    half = model.param_halfwidth
+
+    def f(t: float) -> float:
+        return smallest_eigenpair(asm.system([t * half]), tol=tol).value
+
+    return f
+
+
 def gl_study(
     model: CoefficientModel,
     m: int,
     n_list: Sequence[int],
     n_star: int,
     tol: float = 1e-14,
-    eigenvalue_map: Callable[[float], float] | None = None,
 ) -> list[tuple[int, float]]:
     """Relative Gauss-Legendre error of the parameter integral of lambda1.
 
     For each n in ``n_list`` returns (n, |Q_nstar - Q_n| / |Q_nstar|) where
-    Q_n applies the n-point rule to y -> lambda1(y) at mesh parameter m.
-    Each distinct node is solved exactly once (cached across rules).
-    ``eigenvalue_map`` substitutes the integrand (tests); by default the
-    smallest FEM eigenvalue of the model is used.
+    Q_n applies the n-point rule to ``axis_eigenvalue_map(model, m, tol)``,
+    the smallest FEM eigenvalue along the first parameter rescaled to
+    [-1, 1].  Each distinct node is solved once (cached across rules), in
+    rule order.
     """
     n_list = list(n_list)
     if not n_list:
@@ -98,31 +120,18 @@ def gl_study(
     if max(n_list) >= n_star:
         raise ValueError(f"need max(n_list) = {max(n_list)} < n_star = {n_star}")
 
-    if eigenvalue_map is None:
-        asm = Assembler(build_mesh(m), model)
-
-        def eigenvalue_map(y: float) -> float:
-            return smallest_eigenpair(asm.system([y]), tol=tol).value
-
+    f = axis_eigenvalue_map(model, m, tol)
     cache: dict[bytes, float] = {}
     rules = {n: gauss_legendre(n) for n in [*n_list, n_star]}
-    new_nodes = []
     for rule in rules.values():
         for x in rule.nodes:
             key = np.float64(x).tobytes()
-            if key not in cache:
-                cache[key] = np.nan
-                new_nodes.append((key, float(x)))
-
-    def solve(item):
-        key, x = item
-        try:
-            return eigenvalue_map(x)
-        except EigenSolveError as exc:
-            raise EigenSolveError(f"eigensolve failed at node y={x}: {exc}") from exc
-
-    for (key, _), lam in zip(new_nodes, ordered_map(solve, new_nodes)):
-        cache[key] = lam
+            if key in cache:
+                continue
+            try:
+                cache[key] = f(float(x))
+            except EigenSolveError as exc:
+                raise EigenSolveError(f"eigensolve failed at node t={x}: {exc}") from exc
 
     def apply(rule: GaussRule) -> float:
         vals = np.array([cache[np.float64(x).tobytes()] for x in rule.nodes])

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite."""
 
+from itertools import combinations
+
 import numpy as np
 import scipy.sparse as sp
 
 from gevrey_evp.fem import SparseSystem
+from gevrey_evp.qmc import PODWeights, bernoulli2, pod_weight
 
 
 def system_from_dense(A, M):
@@ -22,3 +25,23 @@ def random_spd_pair(rng, n):
     r = rng.standard_normal((n, n)) * 0.2
     M = r @ r.T + np.eye(n)
     return system_from_dense(A, M)
+
+
+def worst_case_error_sq(z, n: int, w: PODWeights) -> float:
+    """Shift-averaged squared worst-case error by direct subset enumeration.
+
+    Exponential in the dimension: the small-case oracle for the CBC
+    recursion.
+    """
+    z = np.asarray(z, dtype=np.int64)
+    s = z.size
+    k = np.arange(n)
+    omega = bernoulli2(((k[None, :] * (z[:, None] % n)) % n) / n)  # (s, n)
+    total = 0.0
+    for ell in range(1, s + 1):
+        for u in combinations(range(1, s + 1), ell):
+            prod = np.ones(n)
+            for j in u:
+                prod = prod * omega[j - 1]
+            total += pod_weight(w, u) * prod.mean()
+    return total

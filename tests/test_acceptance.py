@@ -14,10 +14,12 @@ import numpy as np
 import scipy.linalg as sla
 
 import gevrey_evp as g
-from gevrey_evp.cli import _single_axis_eigenvalue_map, main
+from gevrey_evp.cli import main
 from gevrey_evp.combinatorics import Multiindex
 from gevrey_evp.harness import fit_rate
 from gevrey_evp.qmc import PODWeights, parse_beta_rule
+from gevrey_evp.quad1d import axis_eigenvalue_map
+from support import random_spd_pair, worst_case_error_sq
 
 
 def report(number: int, ok: bool, detail: str) -> bool:
@@ -75,8 +77,6 @@ def test_criterion_3_eigensolver_oracle():
     t0 = time.time()
     rng = np.random.default_rng(2718)
     worst = 0.0
-    from support import random_spd_pair
-
     ok = True
     for _ in range(20):
         n = int(rng.integers(4, 60))
@@ -214,7 +214,7 @@ def test_criterion_6_lattice_cbc_properties():
             w = PODWeights(delta, theta, parse_beta_rule("j^-2", 2))
             z, errs = g.cbc_construct(2, n, w, return_errors=True)
             best = min(
-                g.worst_case_error_sq([z1, z2], n, w)
+                worst_case_error_sq([z1, z2], n, w)
                 for z1 in range(1, n, 2)
                 for z2 in range(1, n, 2)
             )
@@ -245,12 +245,12 @@ def test_criterion_7_gevrey_classification():
     print(f"  planted delta recovery (60 draws): {planted_ok}")
 
     candidates = (1.0, 1.5, 2.0, 3.0, 4.0)
-    f1 = _single_axis_eigenvalue_map(g.model_by_name("gl-analytic"), 32, 1e-14)
+    f1 = axis_eigenvalue_map(g.model_by_name("gl-analytic"), 32, 1e-14)
     fit1 = g.classify_decay(g.legendre_coeffs(f1, 20, 64), candidates)
     analytic_ok = fit1.delta == 1.0
     print(f"  gl-analytic selects delta={fit1.delta} (want 1): {analytic_ok}")
 
-    f3 = _single_axis_eigenvalue_map(g.model_by_name("gl-gevrey3"), 32, 1e-14)
+    f3 = axis_eigenvalue_map(g.model_by_name("gl-gevrey3"), 32, 1e-14)
     fit3 = g.classify_decay(g.legendre_coeffs(f3, 20, 64), candidates)
     gevrey_ok = fit3.delta == 3.0
     print(f"  gl-gevrey3 selects delta={fit3.delta} (want 3): {gevrey_ok}")

@@ -58,6 +58,24 @@ class TestParseConfig:
             parse_config(text)
         assert any("n_star" in v for v in err.value.violations)
 
+    def test_flags_override_lines_and_are_checked_alike(self):
+        text = "[gl-study]\nmodel = gl-analytic\nm = 8\n"
+        flags = {"command": "gl-study", "config": "run.cfg", "m": "16",
+                 "tol": None, "svg": "e.svg"}
+        cfg = parse_config(text, flags)
+        assert (cfg["m"], cfg["tol"], cfg["svg"]) == (16, 1e-14, "e.svg")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, {"command": "gl-study", "m": "1", "n_star": "x"})
+        assert err.value.violations == [
+            "flag --m: m must be >= 2",
+            "flag --n-star: invalid literal for int() with base 10: 'x'",
+        ]
+
+    def test_flags_name_the_experiment(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("[cbc]\ns = 4\n", {"command": "gl-study"})
+        assert err.value.violations == ["config is for [cbc], command is gl-study"]
+
     def test_roundtrip_equality(self):
         text = (
             "[qmc-study]\nmodel = qmc-analytic\nm = 16\ns = 5\nlevels = 3..6\n"
@@ -197,6 +215,11 @@ class TestCli:
     def test_validation_exit_code(self, capsys):
         assert main(["gl-study", "--model", "not-a-model"]) == 1
         assert main(["solve-evp", "--model", "gl-analytic", "--m", "1"]) == 1
+        # a value that does not parse is a validation error too, not exit 2
+        assert main(["solve-evp", "--model", "gl-analytic", "--m", "abc"]) == 1
+        assert "config error: flag --m: " in capsys.readouterr().err
+        assert main(["gl-study", "--model", "gl-analytic", "--tol", "x"]) == 1
+        assert "config error: flag --tol: " in capsys.readouterr().err
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

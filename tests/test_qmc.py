@@ -20,8 +20,8 @@ from gevrey_evp.qmc import (
     rmse_study,
     save_vector,
     truncation_study,
-    worst_case_error_sq,
 )
+from support import worst_case_error_sq
 
 
 class TestBernoulliZetaFactor:

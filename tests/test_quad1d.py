@@ -1,7 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from gevrey_evp import quad1d
+from gevrey_evp.cli import main
 from gevrey_evp.coefficients import model_by_name
+from gevrey_evp.harness import read_csv
 from gevrey_evp.quad1d import gauss_legendre, gl_study
 
 
@@ -53,14 +58,29 @@ class TestGaussLegendre:
             gauss_legendre(513)
 
 
-class CountingMap:
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
+class FakeAxis:
+    """Stands in for the assembler and the solver behind ``gl_study``.
 
-    def __call__(self, y):
-        self.calls += 1
-        return self.fn(y)
+    The "system" at parameter y is y itself, and its "eigenvalue" is g(y);
+    every solve's y is recorded.
+    """
+
+    def __init__(self, monkeypatch, g):
+        self.ys = []
+
+        class Assembler:
+            def __init__(self, mesh, model):
+                pass
+
+            def system(self, y):
+                return float(y[0])
+
+        def smallest_eigenpair(y, tol):
+            self.ys.append(y)
+            return SimpleNamespace(value=g(y))
+
+        monkeypatch.setattr(quad1d, "Assembler", Assembler)
+        monkeypatch.setattr(quad1d, "smallest_eigenpair", smallest_eigenpair)
 
 
 class TestGlStudy:
@@ -73,24 +93,39 @@ class TestGlStudy:
         with pytest.raises(ValueError):
             gl_study(model_by_name("constant"), 4, [2, 8], 8)
 
-    def test_each_distinct_node_solved_once(self):
-        counter = CountingMap(lambda y: np.exp(y))
-        gl_study(model_by_name("constant"), 4, [2, 2, 3], 4,
-                 eigenvalue_map=counter)
-        # nodes of the 2-, 3- and 4-point rules are pairwise distinct
-        # except none coincide; 2 + 3 + 4 solves expected
-        assert counter.calls == 9
+    def test_each_distinct_node_solved_once(self, monkeypatch):
+        fake = FakeAxis(monkeypatch, np.exp)
+        gl_study(model_by_name("constant"), 4, [2, 2, 3], 4)
+        # the nodes of the 2-, 3- and 4-point rules are pairwise distinct:
+        # 2 + 3 + 4 solves expected
+        assert len(fake.ys) == 9
 
-    def test_shared_zero_node_cached(self):
-        counter = CountingMap(lambda y: np.cos(y))
-        gl_study(model_by_name("constant"), 4, [1, 3], 5,
-                 eigenvalue_map=counter)
+    def test_shared_zero_node_cached(self, monkeypatch):
+        fake = FakeAxis(monkeypatch, np.cos)
+        gl_study(model_by_name("constant"), 4, [1, 3], 5)
         # odd rules share the node 0: 1 + 3 + 5 minus two duplicates
-        assert counter.calls == 7
+        assert len(fake.ys) == 7
 
-    def test_analytic_vs_synthetic_map(self):
+    def test_analytic_vs_synthetic_map(self, monkeypatch):
         # independent integrand with known integral: errors shrink fast
-        records = gl_study(model_by_name("constant"), 4, [2, 4, 6, 8], 16,
-                           eigenvalue_map=lambda y: 1.0 / (2.0 + y))
+        FakeAxis(monkeypatch, lambda y: 1.0 / (2.0 + y))
+        records = gl_study(model_by_name("constant"), 4, [2, 4, 6, 8], 16)
         errs = [e for _, e in records]
         assert errs[-1] < errs[0] * 1e-4
+
+    def test_nodes_rescaled_to_parameter_interval(self, monkeypatch):
+        fake = FakeAxis(monkeypatch, lambda y: 1.0)
+        gl_study(model_by_name("qmc-analytic"), 4, [2], 3)
+        nodes = np.concatenate([gauss_legendre(n).nodes for n in (2, 3)])
+        assert fake.ys == [0.5 * t for t in nodes]
+
+    def test_half_width_model_matches_cli(self, tmp_path, capsys):
+        model = model_by_name("qmc-analytic")
+        assert model.param_halfwidth == 0.5
+        records = gl_study(model, 8, [2], 3)
+        out = tmp_path / "gl.csv"
+        assert main(["gl-study", "--model", "qmc-analytic", "--m", "8",
+                     "--n-min", "2", "--n-max", "2", "--n-star", "3",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows == records
