@@ -34,8 +34,16 @@ _FLAG_HELP = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: usage, then exit 1 (argparse: 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gevrey-evp", description=__doc__)
+    parser = _Parser(prog="gevrey-evp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for experiment, schema in harness._EXPERIMENTS.items():
         p = sub.add_parser(experiment)
@@ -312,9 +320,8 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
         if cfg.experiment == "checks":
             if cfg["which"] == "combinatorics":

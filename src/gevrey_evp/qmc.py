@@ -16,6 +16,8 @@ minimizing the shift-averaged squared worst-case error
 in the weighted Sobolev space of mixed first derivatives, with the Bernoulli
 polynomial B2(x) = x^2 - x + 1/6 and product-and-order-dependent weights
 gamma_u = ((|u|!)^delta prod_{j in u} beta_j / sqrt(phi(theta)))^(2/(1+theta)).
+Each CBC step scores all odd candidates at once in O(n log n), by FFT
+correlations over the odd residues +-5^c mod 2^m (Nuyens & Cools 2006).
 """
 
 from __future__ import annotations
@@ -156,6 +158,50 @@ def _require_pow2(n: int) -> int:
     return n
 
 
+def _candidate_scorer(n: int, vals: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """q -> [sum_k vals[z k mod n] q(k) for odd z = 1, 3, ..., n - 1] in O(n log n).
+
+    ``vals`` must satisfy vals[j] = vals[n - j].  Write k = 2^t k' with k'
+    odd; then z k mod n = 2^t (z k' mod N_t), N_t = 2^(m - t).  For
+    N_t >= 8 the odd residues mod N_t are +-5^c, c < N_t / 4, so with
+    z = +-5^a the level-t sum is the cyclic correlation
+    sum_c f_t(a + c) g_t(c) of f_t(c) = vals[2^t 5^c mod n], fixed (its FFT
+    is taken once), and g_t(c) = q(2^t 5^c mod n) + q(n - 2^t 5^c mod n).
+    k = 0 and the levels with N_t <= 4 (k a multiple of n/4) are summed
+    directly.  z and n - z share their class a, so they score bitwise equal.
+    """
+    cand = np.arange(1, n, 2, dtype=np.int64)
+    L = max(n // 4, 1)
+    pow5 = np.ones(L, dtype=np.int64)  # 5^c mod n, by doubling
+    size = 1
+    while size < L:
+        pow5[size : 2 * size] = pow5[:size] * pow(5, size, n) % n
+        size *= 2
+    class_of = np.empty(cand.size, dtype=np.int64)  # candidate (z - 1)/2 -> a
+    class_of[(pow5 - 1) // 2] = np.arange(L)
+    class_of[(n - pow5 - 1) // 2] = np.arange(L)
+    levels = []  # per level t with N_t >= 8: (2^t 5^c mod n, rfft of f_t)
+    t = 0
+    while n >> t >= 8:
+        r = (pow5[: n >> (t + 2)] << t) % n
+        levels.append((r, np.fft.rfft(vals[r])))
+        t += 1
+    direct = np.arange(0, n, L)
+
+    def scores(q: np.ndarray) -> np.ndarray:
+        per_class = np.zeros(L)
+        for r, f_hat in levels:
+            g_hat = np.fft.rfft(q[r] + q[n - r])
+            tiles = per_class.reshape(-1, r.size)  # view: class a += h_t(a mod L_t)
+            tiles += np.fft.irfft(f_hat * np.conj(g_hat), r.size)
+        out = per_class[class_of]
+        for k in direct:
+            out += vals[(cand * k) % n] * q[k]
+        return out
+
+    return scores
+
+
 def cbc_construct(
     s: int,
     n: int,
@@ -167,39 +213,34 @@ def cbc_construct(
 
     Each z_j is chosen greedily among the odd integers in [1, n); the POD
     order recursion keeps per-point accumulators P(k, ell) of the subset
-    sums of order ell (capped at ``order_cap``).  Deterministic: of equal
-    computed scores the smallest candidate wins.  Candidates that tie in exact
-    arithmetic are told apart by the rounding of their scores, so the pick
-    among them need not be the smallest: every odd z_1 scores the same
-    exactly, yet z_1 is 511 for (s, n) = (20, 2^10) and 3 for (100, 2^11).
+    sums of order ell (capped at ``order_cap``).  All candidates of a step
+    are scored at once by FFT in O(n log n) (Nuyens & Cools 2006).
+
+    Tie rule: z_1 = 1, since every odd z_1 has the same error exactly.
+    B2 is tabulated at min(k, n - k)/n, so z and n - z score bitwise
+    equal; of equal computed scores the smallest candidate wins, hence
+    every z_d <= n/2.  Other exact ties are still told apart by rounding.
     """
     n = _require_pow2(n)
     if s < 1 or s > w.s:
         raise ValueError(f"dimension must lie in 1..{w.s}, got {s}")
     cap = min(s, order_cap)
     k = np.arange(n)
-    vals = bernoulli2(k / n)
-    candidates = np.arange(1, n, 2, dtype=np.int64)
+    vals = bernoulli2(np.minimum(k, n - k) / n)
+    score_sums = _candidate_scorer(n, vals)
     gammas = np.array([w.order_factor(ell) for ell in range(cap + 1)])  # index 0 unused
     P = np.zeros((n, cap + 1))
     P[:, 0] = 1.0
     z = np.zeros(s, dtype=np.int64)
     errors = np.zeros(s)
-    block = 256  # candidates scored at once: three (block, n) temporaries each
     for d in range(1, s + 1):
         b = w.product_factor(d)
-        q = P[:, 0:cap] @ gammas[1 : cap + 1]  # q(k) = sum_l Gamma_l P(k, l-1)
-        base = float((P[:, 1 : cap + 1] * gammas[1 : cap + 1]).sum()) / n
-        best_score = np.inf
-        best_z = None
-        for lo in range(0, candidates.size, block):
-            cand = candidates[lo : lo + block]
-            omega = vals[(cand[:, None] * k[None, :]) % n]
-            scores = base + (b / n) * (omega @ q)
-            i = int(np.argmin(scores))
-            if scores[i] < best_score:
-                best_score = float(scores[i])
-                best_z = int(cand[i])
+        best_z = 1
+        if d > 1:
+            q = P[:, 0:cap] @ gammas[1 : cap + 1]  # q(k) = sum_l Gamma_l P(k, l-1)
+            base = float((P[:, 1 : cap + 1] * gammas[1 : cap + 1]).sum()) / n
+            scores = base + (b / n) * score_sums(q)
+            best_z = 2 * int(np.argmin(scores)) + 1
         z[d - 1] = best_z
         omega_best = vals[(best_z * k) % n]
         for ell in range(min(d, cap), 0, -1):

@@ -45,3 +45,18 @@ def worst_case_error_sq(z, n: int, w: PODWeights) -> float:
                 prod = prod * omega[j - 1]
             total += pod_weight(w, u) * prod.mean()
     return total
+
+
+def gather_scores(q, n: int) -> np.ndarray:
+    """sum_k B2({z k / n}) q(k) for every odd z in [1, n), by direct gather.
+
+    O(n^2): the oracle for the FFT candidate scores of the CBC construction.
+    """
+    k = np.arange(n)
+    vals = bernoulli2(k / n)
+    cand = np.arange(1, n, 2, dtype=np.int64)
+    block = 256  # candidates per (block, n) gather
+    return np.concatenate([
+        vals[(cand[lo : lo + block, None] * k[None, :]) % n] @ q
+        for lo in range(0, cand.size, block)
+    ])

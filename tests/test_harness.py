@@ -220,6 +220,13 @@ class TestCli:
         assert "config error: flag --m: " in capsys.readouterr().err
         assert main(["gl-study", "--model", "gl-analytic", "--tol", "x"]) == 1
         assert "config error: flag --tol: " in capsys.readouterr().err
+        # usage errors are validation errors too: usage, message, exit 1
+        for argv in (["cbc", "--no-such"], ["checks", "nonsense"],
+                     ["gl-study", "--model", "gl-analytic", "--m"]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: gevrey-evp")
+            assert "config error: gevrey-evp" in err
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"

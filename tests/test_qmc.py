@@ -7,6 +7,8 @@ from gevrey_evp.coefficients import model_by_name, zeta
 from gevrey_evp.qmc import (
     LatticeRule,
     PODWeights,
+    _candidate_scorer,
+    bernoulli2,
     bernoulli_zeta_factor,
     cbc_construct,
     lattice_points,
@@ -21,7 +23,7 @@ from gevrey_evp.qmc import (
     save_vector,
     truncation_study,
 )
-from support import worst_case_error_sq
+from support import gather_scores, worst_case_error_sq
 
 
 class TestBernoulliZetaFactor:
@@ -128,6 +130,40 @@ class TestCBC:
         w = PODWeights(1.0, 1.0, np.ones(2))
         with pytest.raises(ValueError):
             cbc_construct(2, 12, w)
+
+    def test_tie_rule(self):
+        # z_1 = 1 (every odd z_1 ties exactly); z and n - z tie bitwise, so
+        # the smaller one, at most n/2, wins
+        w = PODWeights(1.0, 0.6, parse_beta_rule("j^-5", 20))
+        for m in range(1, 13):
+            n = 2**m
+            z = cbc_construct(20, n, w)
+            assert z[0] == 1
+            assert np.all(z <= n // 2)
+
+
+class TestFastScores:
+    @pytest.mark.parametrize("n", [2**m for m in range(1, 13)])
+    def test_matches_gather_oracle(self, n):
+        # n = 2 and 4 have no FFT level: every k is summed directly
+        k = np.arange(n)
+        score_sums = _candidate_scorer(n, bernoulli2(np.minimum(k, n - k) / n))
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            q = rng.standard_normal(n)
+            ref = gather_scores(q, n)
+            assert np.max(np.abs(score_sums(q) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_greedy_step_is_minimal_given_prefix(self):
+        n = 2**10
+        w = PODWeights(1.0, 0.8, parse_beta_rule("j^-2", 4))
+        z, errs = cbc_construct(4, n, w, return_errors=True)
+        for d in (2, 3, 4):
+            best = min(
+                worst_case_error_sq(list(z[: d - 1]) + [c], n, w)
+                for c in range(1, n, 2)
+            )
+            assert errs[d - 1] == pytest.approx(best, rel=1e-10)
 
 
 class TestLattice:
