@@ -13,6 +13,7 @@ from .combinatorics import (
     ff_convolution_bound,
     ff_double_convolution_bound,
     ff_half,
+    identity_checks,
     square_domination_check,
     vandermonde_slice,
 )
@@ -53,8 +54,6 @@ from .harness import (
     emit_svg,
     fit_rate,
     parse_config,
-    read_csv,
-    serialize_config,
 )
 from .qmc import (
     ErrorRecord,

@@ -9,11 +9,8 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
-import math
 import struct
 import sys
-from fractions import Fraction
 
 import numpy as np
 
@@ -71,58 +68,8 @@ def _config_from_args(args) -> RunConfig:
 # -- subcommand bodies --------------------------------------------------------
 
 def _run_checks_combinatorics(cfg: RunConfig) -> int:
-    n_max = cfg["n_max"]
-    nu_max = cfg["nu_max"]
-    rows: list[tuple[str, bool]] = []
-
-    ok = True
-    for n in range(0, n_max + 1):
-        ratio = comb.factorial_ratio(n)
-        ok &= comb.ff_half(n) * ratio == Fraction(math.factorial(n))
-        ok &= 1 <= ratio <= 2 * 2**n
-    rows.append((f"n! = ratio * ff_half(n), bounds, n <= {n_max}", ok))
-
-    ok = True
-    for n in range(2, n_max + 1):
-        ok &= comb.binomial_ff_sum(n, "inner") == 2 * comb.ff_half(n)
-        ok &= comb.binomial_ff_sum(n, "mid") == 3 * comb.ff_half(n)
-        ok &= comb.binomial_ff_sum(n, "full") == 4 * comb.ff_half(n)
-    for n in (0, 1):
-        ok &= comb.binomial_ff_sum(n, "inner") <= 2 * comb.ff_half(n)
-        ok &= comb.binomial_ff_sum(n, "mid") <= 3 * comb.ff_half(n)
-        ok &= comb.binomial_ff_sum(n, "full") <= 4 * comb.ff_half(n)
-    rows.append((f"binomial ff sums equal {{2,3,4}} ff_half, n = 2..{n_max}", ok))
-
-    ok = True
-    eq_ok = True
-    for dim in range(1, 5):
-        for total in range(0, nu_max + 1):
-            for parts in itertools.product(range(total + 1), repeat=dim):
-                if sum(parts) != total:
-                    continue
-                nu = comb.Multiindex(parts)
-                for r in range(total + 1):
-                    comb.vandermonde_slice(nu, r)  # raises on mismatch
-                lhs, rhs, equal = comb.ff_convolution_bound(nu)
-                ok &= lhs <= rhs
-                eq_ok &= equal == (total >= 2)
-    rows.append((f"slice sums match binomials, |nu| <= {nu_max}, dim <= 4", ok))
-    rows.append(("convolution bound equality iff |nu| >= 2", eq_ok))
-
-    ok = True
-    for dim in range(1, 4):
-        for parts in itertools.product(range(4), repeat=dim):
-            if sum(parts) == 0 or sum(parts) > 6:
-                continue
-            lhs, rhs = comb.ff_double_convolution_bound(comb.Multiindex(parts))
-            ok &= lhs <= rhs
-    rows.append(("double convolution bound <= 8 ff_half", ok))
-
-    report = comb.square_domination_check(12, [-2.5, -1.0, 0.0, 0.5, 0.9])
-    rows.append(("square of sqrt-series is derivative-dominated", report.ok))
-
     failed = False
-    for label, passed in rows:
+    for label, passed in comb.identity_checks(cfg["n_max"], cfg["nu_max"]):
         print(f"{'PASS' if passed else 'FAIL'}  {label}")
         failed |= not passed
     return 2 if failed else 0

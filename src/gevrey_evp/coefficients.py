@@ -246,16 +246,6 @@ class CoefficientModel:
             return np.full_like(x1, self.params["c"])
         return np.ones_like(x1)
 
-    def eval(self, field: str, x, y) -> float:
-        """Pointwise field value; ``field`` is one of 'a', 'b', 'c'."""
-        x1, x2 = float(x[0]), float(x[1])
-        if not (0.0 < x1 < 1.0 and 0.0 < x2 < 1.0):
-            raise ValueError("x must lie in the open unit square")
-        if field not in ("a", "b", "c"):
-            raise ValueError(f"field must be 'a', 'b' or 'c', got {field!r}")
-        val = getattr(self, field)(np.array([x1]), np.array([x2]), y)
-        return float(val[0])
-
     def __repr__(self) -> str:
         return f"CoefficientModel({self.kind!r}, dim={self.dim})"
 
@@ -292,10 +282,11 @@ def resolve_model(spec: str) -> CoefficientModel:
     return model_by_name(spec)
 
 
-def load_custom_model(path, base: float = 2.0) -> CoefficientModel:
+def load_custom_model(path) -> CoefficientModel:
     """Read a sine-series coefficient table: one 'index amplitude' line per term.
 
-    Lines may be comma- or whitespace-separated; '#' starts a comment.
+    The diffusion field is 2 plus the series.  Lines may be comma- or
+    whitespace-separated; '#' starts a comment.
     """
     indices, amps = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -308,9 +299,7 @@ def load_custom_model(path, base: float = 2.0) -> CoefficientModel:
                 raise ValueError(f"{path}:{lineno}: expected 'index amplitude'")
             indices.append(int(parts[0]))
             amps.append(float(parts[1]))
-    return CoefficientModel(
-        "custom", {"indices": indices, "amplitudes": amps, "base": base}
-    )
+    return CoefficientModel("custom", {"indices": indices, "amplitudes": amps})
 
 
 @dataclass(frozen=True)

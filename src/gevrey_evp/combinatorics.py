@@ -23,6 +23,7 @@ __all__ = [
     "ff_convolution_bound",
     "ff_double_convolution_bound",
     "square_domination_check",
+    "identity_checks",
     "SUPPORT_CAP",
 ]
 
@@ -262,15 +263,14 @@ def _g_derivative(n: int, y: float) -> float:
     return _f_derivative(n, y)
 
 
-def square_domination_check(
-    n_max: int, y_grid: Iterable[float], rel_tol: float = 1e-12
-) -> DominationReport:
+def square_domination_check(n_max: int, y_grid: Iterable[float]) -> DominationReport:
     """Check |g^(n)(y)| <= |f^(n)(y)| for g = f^2, f(y) = (1-sqrt(1-y))/2.
 
     Derivatives are evaluated in closed form (no differencing).  The bound
-    must hold for all n <= n_max on the grid, with equality (within
-    ``rel_tol`` relative) for n >= 2.  Grid points must lie in [-3, 1).
+    must hold for all n <= n_max on the grid, with equality (within 1e-12
+    relative) for n >= 2.  Grid points must lie in [-3, 1).
     """
+    tol = 1e-12
     grid = tuple(float(y) for y in y_grid)
     for y in grid:
         if y >= 1.0 or y < -3.0:
@@ -288,11 +288,62 @@ def square_domination_check(
                 continue
             ratio = gd / fd
             max_ratio = max(max_ratio, ratio)
-            if ratio > 1.0 + rel_tol:
+            if ratio > 1.0 + tol:
                 ok = False
             if n >= 2:
                 defect = abs(gd - fd) / fd
                 max_defect = max(max_defect, defect)
-                if defect > rel_tol:
+                if defect > tol:
                     ok = False
     return DominationReport(n_max, grid, max_ratio, max_defect, ok)
+
+
+def identity_checks(n_max: int, nu_max: int) -> list[tuple[str, bool]]:
+    """Every identity and bound of this module as (label, ok) rows, for
+    n <= n_max and |nu| <= nu_max; a Vandermonde mismatch raises.  The rows
+    of ``gevrey-evp checks combinatorics`` and of acceptance criterion 1.
+    """
+    rows: list[tuple[str, bool]] = []
+
+    ok = True
+    for n in range(0, n_max + 1):
+        ratio = factorial_ratio(n)
+        ok &= ff_half(n) * ratio == Fraction(math.factorial(n))
+        ok &= 1 <= ratio <= 2 * 2**n
+    rows.append((f"n! = ratio * ff_half(n), bounds, n <= {n_max}", ok))
+
+    ok = True
+    for n in range(0, n_max + 1):
+        for variant, mult in (("inner", 2), ("mid", 3), ("full", 4)):
+            total, bound = binomial_ff_sum(n, variant), mult * ff_half(n)
+            ok &= (total == bound) if n >= 2 else (total <= bound)
+    rows.append((f"binomial ff sums equal {{2,3,4}} ff_half, n = 2..{n_max}", ok))
+
+    ok = True
+    eq_ok = True
+    for dim in range(1, 5):
+        for parts in itertools.product(range(nu_max + 1), repeat=dim):
+            total = sum(parts)
+            if total > nu_max:
+                continue
+            nu = Multiindex(parts)
+            for r in range(total + 1):
+                vandermonde_slice(nu, r)  # raises on mismatch
+            lhs, rhs, equal = ff_convolution_bound(nu)
+            ok &= lhs <= rhs
+            eq_ok &= equal == (total >= 2)
+    rows.append((f"slice sums match binomials, |nu| <= {nu_max}, dim <= 4", ok))
+    rows.append(("convolution bound equality iff |nu| >= 2", eq_ok))
+
+    ok = True
+    for dim in range(1, 4):
+        for parts in itertools.product(range(4), repeat=dim):
+            if sum(parts) == 0 or sum(parts) > 6:
+                continue
+            lhs, rhs = ff_double_convolution_bound(Multiindex(parts))
+            ok &= lhs <= rhs
+    rows.append(("double convolution bound <= 8 ff_half", ok))
+
+    report = square_domination_check(12, [-2.5, -1.0, 0.0, 0.5, 0.9])
+    rows.append(("square of sqrt-series is derivative-dominated", report.ok))
+    return rows

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .harness import _fit_line
 from .quad1d import _legendre_table, gauss_legendre
 
 __all__ = [
@@ -64,18 +65,17 @@ class DecayFit:
 def classify_decay(
     coeffs: Sequence[float],
     delta_candidates: Sequence[float] = (1.0, 1.5, 2.0, 3.0, 4.0),
-    noise_floor: float = NOISE_FLOOR,
 ) -> DecayFit:
     """Pick the delta whose decay law best fits the coefficient magnitudes.
 
     For each candidate delta, ordinary least squares of log|c_k| on
-    k^(1/delta) over the k >= 1 coefficients above the noise floor; the
+    k^(1/delta) over the k >= 1 coefficients above NOISE_FLOOR; the
     delta maximizing the coefficient of determination wins, ties broken
     toward smaller delta.  Fails if fewer than 8 coefficients are usable.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     k = np.arange(coeffs.size)
-    keep = (k >= 1) & (np.abs(coeffs) > noise_floor)
+    keep = (k >= 1) & (np.abs(coeffs) > NOISE_FLOOR)
     if keep.sum() < 8:
         raise ValueError(
             f"only {int(keep.sum())} coefficients above the noise floor; need >= 8"
@@ -87,17 +87,12 @@ def classify_decay(
     for delta in sorted(float(d) for d in delta_candidates):
         if delta < 1.0:
             raise ValueError("delta candidates must be >= 1")
-        t = ks ** (1.0 / delta)
-        design = np.vstack([t, np.ones_like(t)]).T
-        (slope, intercept), *_ = np.linalg.lstsq(design, logs, rcond=None)
-        resid = logs - design @ np.array([slope, intercept])
-        ss_tot = float(np.sum((logs - logs.mean()) ** 2))
-        r2 = 1.0 - float(np.sum(resid**2)) / ss_tot if ss_tot > 0 else 0.0
+        slope, intercept, r2 = _fit_line(ks ** (1.0 / delta), logs)
         fits[delta] = (-slope, r2)
         if best is None or r2 > best[1]:  # strict: ties stay with smaller delta
             best = (delta, r2, -slope, intercept)
     delta, r2, rate, intercept = best
-    return DecayFit(delta, rate, float(intercept), r2, coeffs, fits)
+    return DecayFit(delta, rate, intercept, r2, coeffs, fits)
 
 
 def fd_derivative(

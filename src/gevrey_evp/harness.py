@@ -22,12 +22,10 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_config",
-    "serialize_config",
     "RateFit",
     "fit_rate",
     "TRANSFORMS",
     "emit_csv",
-    "read_csv",
     "emit_svg",
 ]
 
@@ -61,9 +59,11 @@ def _model_name(v):
     return f"unknown model {v!r}"
 
 
-def _in_unit(name):
-    return lambda v: None if 0.0 < v < 1.0 else f"{name} must lie in (0, 1)"
-
+# POD weights need the finite zeta(2 theta), so theta in (1/2, 1]
+_THETA = _Field("float", 0.6, lambda v: None if 0.5 < v <= 1.0
+                else "theta must lie in (1/2, 1]")
+_LEVELS = _Field("intpair", (4, 10), lambda v: None if 1 <= v[0] <= v[1]
+                 else f"levels {v[0]}..{v[1]} must satisfy 1 <= lo <= hi")
 
 _EXPERIMENTS: dict[str, dict[str, _Field]] = {
     "gl-study": {
@@ -80,11 +80,11 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "model": _Field("str", None, _model_name),
         "m": _Field("int", 32, _at_least("m", 2)),
         "s": _Field("int", 20, _at_least("s", 1)),
-        "levels": _Field("intpair", (4, 10)),
+        "levels": _LEVELS,
         "shifts": _Field("int", 8, _at_least("shifts", 1)),
         "mc_shifts": _Field("int", 32, _at_least("mc_shifts", 1)),
         "seed": _Field("int", 7193, _at_least("seed", 0)),
-        "theta": _Field("float", 0.6),
+        "theta": _THETA,
         "delta": _Field("float", 0.0),  # 0 = use the model's Gevrey order
         "beta": _Field("str", "j^-5"),
         "tol": _Field("float", 1e-14, _positive("tol")),
@@ -97,7 +97,7 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "model": _Field("str", None, _model_name),
         "m": _Field("int", 32, _at_least("m", 2)),
         "s": _Field("int", 20, _at_least("s", 1)),
-        "levels": _Field("intpair", (4, 10)),
+        "levels": _LEVELS,
         "shifts": _Field("int", 32, _at_least("shifts", 1)),
         "seed": _Field("int", 7193, _at_least("seed", 0)),
         "tol": _Field("float", 1e-14, _positive("tol")),
@@ -106,12 +106,14 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
     "trunc-study": {
         "model": _Field("str", None, _model_name),
         "m": _Field("int", 32, _at_least("m", 2)),
-        "s_list": _Field("intlist", (1, 2, 4, 8)),
+        "s_list": _Field("intlist", (1, 2, 4, 8), lambda v: None
+                         if v and list(v) == sorted(v)
+                         else "s_list must be nonempty ascending"),
         "ref_s": _Field("int", 16, _at_least("ref_s", 2)),
         "level": _Field("int", 10, _at_least("level", 1)),
         "shifts": _Field("int", 8, _at_least("shifts", 1)),
         "seed": _Field("int", 7193, _at_least("seed", 0)),
-        "theta": _Field("float", 0.6),
+        "theta": _THETA,
         "delta": _Field("float", 0.0),
         "beta": _Field("str", "j^-5"),
         "tol": _Field("float", 1e-14, _positive("tol")),
@@ -142,7 +144,7 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "s": _Field("int", 16, _at_least("s", 1)),
         "n": _Field("int", 1024, _at_least("n", 2)),
         "delta": _Field("float", 1.0, _at_least("delta", 1.0)),
-        "theta": _Field("float", 0.6, _in_unit("theta")),
+        "theta": _THETA,
         "beta": _Field("str", "j^-5"),
         "out": _Field("str", "vector.txt"),
     },
@@ -187,19 +189,17 @@ def _parse_value(typ: str, raw: str):
     raise AssertionError(typ)
 
 
-def _format_value(typ: str, value) -> str:
-    if typ == "intpair":
-        return f"{value[0]}..{value[1]}"
-    if typ in ("intlist", "floatlist"):
-        return ",".join(repr(v) if typ == "floatlist" else str(v) for v in value)
-    if typ == "bool":
-        return "true" if value else "false"
-    if typ == "float":
-        return repr(float(value))
-    return str(value)
+def _checked_value(spec: _Field, raw: str):
+    """Parse one raw value and apply its key's check; ValueError names the fault."""
+    value = _parse_value(spec.typ, raw)
+    msg = spec.check(value) if spec.check is not None else None
+    if msg is not None:
+        raise ValueError(msg)
+    return value
 
 
 def _cross_checks(cfg: RunConfig) -> list[str]:
+    """Rules that read two keys; each single key is checked by its _Field."""
     errs = []
     f = cfg.fields
     if cfg.experiment == "gl-study":
@@ -207,18 +207,8 @@ def _cross_checks(cfg: RunConfig) -> list[str]:
             errs.append("n_min must not exceed n_max")
         if f["n_max"] >= f["n_star"]:
             errs.append(f"n_star = {f['n_star']} must exceed n_max = {f['n_max']}")
-    if cfg.experiment in ("qmc-study", "mc-study"):
-        lo, hi = f["levels"]
-        if not 1 <= lo <= hi:
-            errs.append(f"levels {lo}..{hi} must satisfy 1 <= lo <= hi")
-    if cfg.experiment == "trunc-study":
-        slist = f["s_list"]
-        if not slist or list(slist) != sorted(slist):
-            errs.append("s_list must be nonempty ascending")
-        elif max(slist) >= f["ref_s"]:
-            errs.append(f"ref_s = {f['ref_s']} must exceed max(s_list) = {max(slist)}")
-    if cfg.experiment == "qmc-study" and not 0.5 < f["theta"] <= 1.0:
-        errs.append("theta must lie in (1/2, 1]")
+    if cfg.experiment == "trunc-study" and max(f["s_list"]) >= f["ref_s"]:
+        errs.append(f"ref_s = {f['ref_s']} must exceed max(s_list) = {max(f['s_list'])}")
     return errs
 
 
@@ -271,18 +261,10 @@ def parse_config(text: str, flags: dict | None = None) -> RunConfig:
         if key not in schema:
             errors.append(f"line {lineno}: unknown key {key!r} for [{section}]")
             continue
-        spec = schema[key]
         try:
-            value = _parse_value(spec.typ, rawval)
+            fields[key] = _checked_value(schema[key], rawval)
         except ValueError as exc:
-            errors.append(f"line {lineno}: {key}: {exc}")
-            continue
-        if spec.check is not None:
-            msg = spec.check(value)
-            if msg is not None:
-                errors.append(f"line {lineno}: {msg}")
-                continue
-        fields[key] = value
+            errors.append(f"line {lineno}: {exc}")
     if section is None:
         errors.append("line 1: no [experiment] section found")
     elif flags is not None and section != flags["command"]:
@@ -291,18 +273,10 @@ def parse_config(text: str, flags: dict | None = None) -> RunConfig:
         schema = _EXPERIMENTS[section]
         given = {k: v for k, v in (flags or {}).items() if k in schema and v is not None}
         for key, raw in given.items():
-            spec = schema[key]
-            tag = "flag --" + key.replace("_", "-")
             try:
-                value = _parse_value(spec.typ, str(raw))
+                fields[key] = _checked_value(schema[key], str(raw))
             except ValueError as exc:
-                errors.append(f"{tag}: {exc}")
-                continue
-            msg = spec.check(value) if spec.check is not None else None
-            if msg is not None:
-                errors.append(f"{tag}: {msg}")
-                continue
-            fields[key] = value
+                errors.append(f"flag --{key.replace('_', '-')}: {exc}")
         for key, spec in schema.items():
             if key in fields or key in given:  # a bad flag is reported above
                 continue
@@ -316,15 +290,6 @@ def parse_config(text: str, flags: dict | None = None) -> RunConfig:
         if not errors:
             return cfg
     raise ConfigError(errors)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(cfg)) equals cfg."""
-    schema = _EXPERIMENTS[cfg.experiment]
-    lines = [f"[{cfg.experiment}]"]
-    for key, spec in schema.items():
-        lines.append(f"{key} = {_format_value(spec.typ, cfg.fields[key])}")
-    return "\n".join(lines) + "\n"
 
 
 # -- rate fitting -------------------------------------------------------------
@@ -344,6 +309,19 @@ class RateFit:
     transform: str
 
 
+def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept: (slope, intercept, r^2).
+
+    r^2 is 1 when y is constant, since the flat line then fits exactly.
+    """
+    design = np.vstack([x, np.ones_like(x)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ np.array([slope, intercept])
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
+    return float(slope), float(intercept), r2
+
+
 def fit_rate(records: Sequence[tuple[float, float]], transform: str) -> RateFit:
     """Least-squares line through transformed (t, error) records.
 
@@ -357,15 +335,9 @@ def fit_rate(records: Sequence[tuple[float, float]], transform: str) -> RateFit:
     pts = [(xf(t), math.log(e)) for t, e in records if e > 0.0]
     if len(pts) < 4:
         raise ValueError(f"need >= 4 records with positive error, got {len(pts)}")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    design = np.vstack([x, np.ones_like(x)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ np.array([slope, intercept])
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    ss_res = float(np.sum(resid**2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), r2, transform)
+    slope, intercept, r2 = _fit_line(np.array([p[0] for p in pts]),
+                                     np.array([p[1] for p in pts]))
+    return RateFit(slope, intercept, r2, transform)
 
 
 # -- CSV / SVG emission -------------------------------------------------------
@@ -393,38 +365,12 @@ def emit_csv(records, path, columns: Sequence[str], metadata: dict | None = None
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
 
 
-def read_csv(path):
-    """Read back an emitted CSV: (metadata, columns, numeric rows)."""
-    metadata: dict[str, str] = {}
-    columns: list[str] = []
-    rows: list[tuple] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                metadata[key.strip()] = val.strip()
-                continue
-            if not columns:
-                columns = line.split(",")
-                continue
-            cells = []
-            for cell in line.split(","):
-                try:
-                    cells.append(int(cell))
-                except ValueError:
-                    cells.append(float(cell))
-            rows.append(tuple(cells))
-    return metadata, columns, rows
-
-
 def emit_svg(
     records,
     fit: RateFit | None,
     path,
     transform: str,
     title: str = "convergence",
-    xlabel: str = "n",
     ylabel: str = "log error",
 ):
     """Plot transformed records as a polyline, with the fitted line if given.
@@ -456,7 +402,7 @@ def emit_svg(
         f'height="{height - 2 * margin}" fill="none" stroke="black"/>',
         f'<text x="{width / 2:.0f}" y="24" text-anchor="middle">'
         f"{title} [{transform}]</text>",
-        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">n</text>',
         f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {height / 2:.0f})">{ylabel}</text>',
         f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="1.5"/>',

@@ -206,14 +206,13 @@ def cbc_construct(
     s: int,
     n: int,
     w: PODWeights,
-    order_cap: int = _ORDER_CAP,
     return_errors: bool = False,
 ):
     """Component-by-component generating vector minimizing the worst-case error.
 
     Each z_j is chosen greedily among the odd integers in [1, n); the POD
     order recursion keeps per-point accumulators P(k, ell) of the subset
-    sums of order ell (capped at ``order_cap``).  All candidates of a step
+    sums of order ell (capped at _ORDER_CAP = 30).  All candidates of a step
     are scored at once by FFT in O(n log n) (Nuyens & Cools 2006).
 
     Tie rule: z_1 = 1, since every odd z_1 has the same error exactly.
@@ -224,7 +223,7 @@ def cbc_construct(
     n = _require_pow2(n)
     if s < 1 or s > w.s:
         raise ValueError(f"dimension must lie in 1..{w.s}, got {s}")
-    cap = min(s, order_cap)
+    cap = min(s, _ORDER_CAP)
     k = np.arange(n)
     vals = bernoulli2(np.minimum(k, n - k) / n)
     score_sums = _candidate_scorer(n, vals)
@@ -238,8 +237,8 @@ def cbc_construct(
         best_z = 1
         if d > 1:
             q = P[:, 0:cap] @ gammas[1 : cap + 1]  # q(k) = sum_l Gamma_l P(k, l-1)
-            base = float((P[:, 1 : cap + 1] * gammas[1 : cap + 1]).sum()) / n
-            scores = base + (b / n) * score_sums(q)
+            # errors[d - 2] is the error of z_1..z_(d-1): the k-sum of P so far
+            scores = errors[d - 2] + (b / n) * score_sums(q)
             best_z = 2 * int(np.argmin(scores)) + 1
         z[d - 1] = best_z
         omega_best = vals[(best_z * k) % n]
@@ -463,10 +462,9 @@ def rmse_study(
         provenance = "supplied"
 
     F = _lambda1_map(model, m, tol)
-    shifts = np.stack([prng_stream(master_seed, r).random(s) for r in range(R)])
     per_level: dict[int, np.ndarray] = {}
     for n in n_list:
-        rule = LatticeRule(s, n, vectors[n], shifts)
+        rule = make_lattice_rule(s, n, vectors[n], R, master_seed)
         per_level[n] = qmc_estimate(F, rule)[1]
     reference = float(per_level[n_list[-1]].mean())
     qmc_records = [

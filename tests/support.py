@@ -60,3 +60,32 @@ def gather_scores(q, n: int) -> np.ndarray:
         vals[(cand[lo : lo + block, None] * k[None, :]) % n] @ q
         for lo in range(0, cand.size, block)
     ])
+
+
+def read_csv(path):
+    """Read back a CSV written by harness.emit_csv: (metadata, columns, rows).
+
+    Metadata comes from the '# key = value' lines; cells parse as int
+    where they can, else as float.
+    """
+    metadata: dict[str, str] = {}
+    columns: list[str] = []
+    rows: list[tuple] = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.rstrip("\n")
+            if line.startswith("#"):
+                key, _, val = line[1:].partition("=")
+                metadata[key.strip()] = val.strip()
+                continue
+            if not columns:
+                columns = line.split(",")
+                continue
+            cells = []
+            for cell in line.split(","):
+                try:
+                    cells.append(int(cell))
+                except ValueError:
+                    cells.append(float(cell))
+            rows.append(tuple(cells))
+    return metadata, columns, rows

@@ -7,7 +7,6 @@ endpoint-singular model.  They are asserted as stated anyway; the
 supplementary trend test documents the laws on windows where they do hold.
 """
 
-import itertools
 import time
 
 import numpy as np
@@ -15,7 +14,6 @@ import scipy.linalg as sla
 
 import gevrey_evp as g
 from gevrey_evp.cli import main
-from gevrey_evp.combinatorics import Multiindex
 from gevrey_evp.harness import fit_rate
 from gevrey_evp.qmc import PODWeights, parse_beta_rule
 from gevrey_evp.quad1d import axis_eigenvalue_map
@@ -29,29 +27,13 @@ def report(number: int, ok: bool, detail: str) -> bool:
 
 def test_criterion_1_combinatorics_exactness():
     t0 = time.time()
-    ok = True
-    for n in range(2, 61):
-        base = g.ff_half(n)
-        ok &= g.binomial_ff_sum(n, "inner") == 2 * base
-        ok &= g.binomial_ff_sum(n, "mid") == 3 * base
-        ok &= g.binomial_ff_sum(n, "full") == 4 * base
-    eq_ok = True
-    count = 0
-    for dim in range(1, 5):
-        for parts in itertools.product(range(9), repeat=dim):
-            if sum(parts) > 8:
-                continue
-            nu = Multiindex(parts)
-            lhs, rhs, equal = g.ff_convolution_bound(nu)
-            eq_ok &= (lhs <= rhs) and (equal == (nu.order() >= 2))
-            count += 1
+    rows = g.identity_checks(60, 8)
     elapsed = time.time() - t0
-    all_ok = ok and eq_ok and elapsed < 10.0
-    assert report(
-        1, all_ok,
-        f"rational identities n=2..60 exact: {ok}; convolution equality iff "
-        f"|nu|>=2 over {count} multiindices: {eq_ok}; runtime {elapsed:.1f}s < 10s",
-    )
+    failed = [label for label, ok in rows if not ok]
+    detail = f"{len(rows) - len(failed)} of {len(rows)} identity rows hold (n <= 60, |nu| <= 8)"
+    if failed:
+        detail += f", failed: {failed}"
+    assert report(1, not failed and elapsed < 10.0, f"{detail}; runtime {elapsed:.1f}s < 10s")
 
 
 def test_criterion_2_fem_sanity():

@@ -45,17 +45,24 @@ class TestZeta:
             zeta(0.5)
 
 
+def a_at(model, x, y):
+    """Diffusion field at one point, through the cached evaluation."""
+    cache = model.precompute(np.array([x[0]]), np.array([x[1]]))
+    return float(model.a_cached(cache, y)[0])
+
+
 class TestModels:
     def test_gl_analytic_point_values(self):
         model = model_by_name("gl-analytic")
-        assert model.eval("a", (0.5, 0.5), [0.0]) == pytest.approx(2.0, abs=1e-15)
-        assert model.eval("c", (0.3, 0.7), [0.4]) == 1.0
-        assert model.eval("b", (0.3, 0.7), [0.4]) == 0.0
+        x1, x2 = np.array([0.3]), np.array([0.7])
+        assert a_at(model, (0.5, 0.5), [0.0]) == pytest.approx(2.0, abs=1e-15)
+        assert model.c(x1, x2, [0.4])[0] == 1.0
+        assert model.b(x1, x2, [0.4])[0] == 0.0
 
     def test_qmc_analytic_at_zero(self):
         model = model_by_name("qmc-analytic")
         expect = 2.0 + 2.0 * math.exp(-zeta(5.0))
-        assert model.eval("a", (0.123, 0.77), np.zeros(100)) == pytest.approx(
+        assert a_at(model, (0.123, 0.77), np.zeros(100)) == pytest.approx(
             expect, rel=1e-14
         )
 
@@ -89,20 +96,20 @@ class TestModels:
 
     def test_gevrey2_endpoint_limit(self):
         model = model_by_name("qmc-gevrey2")
-        val = model.eval("a", (0.5, 0.25), np.full(100, -0.5))
+        val = a_at(model, (0.5, 0.25), np.full(100, -0.5))
         assert val == pytest.approx(3.0, abs=1e-15)  # all series terms vanish
 
     def test_rejects_bad_parameters(self):
         model = model_by_name("gl-analytic")
-        with pytest.raises(ValueError):
-            model.eval("a", (0.5, 0.5), [1.5])
-        with pytest.raises(ValueError):
-            model_by_name("gl-gevrey3").eval("a", (0.5, 0.5), [-1.0])
-        with pytest.raises(ValueError):
-            model.eval("a", (1.5, 0.5), [0.0])
-        with pytest.raises(ValueError):
-            model.eval("d", (0.5, 0.5), [0.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"lie in \[-1.0, 1.0\]"):
+            a_at(model, (0.5, 0.5), [1.5])
+        with pytest.raises(ValueError, match="undefined at y = -1"):
+            a_at(model_by_name("gl-gevrey3"), (0.5, 0.5), [-1.0])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            model.pad_y(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match=r"lie in \[-0.5, 0.5\]"):
+            model_by_name("qmc-analytic").pad_y([0.0, 0.6])
+        with pytest.raises(ValueError, match="at most 100 parameters"):
             model_by_name("qmc-analytic").pad_y(np.zeros(101))
         with pytest.raises(ValueError):
             model_by_name("no-such-model")
@@ -110,7 +117,7 @@ class TestModels:
     def test_custom_model_file(self, tmp_path):
         path = tmp_path / "series.txt"
         path.write_text("# index amplitude\n1 0.5\n3, 0.25\n")
-        model = load_custom_model(path, base=2.0)
+        model = load_custom_model(path)
         assert model.dim == 2
         assert model.bounds.a_lo == pytest.approx(2.0 - 0.375)
         x = np.array([0.5])

@@ -4,16 +4,17 @@ import struct
 import numpy as np
 import pytest
 
+from gevrey_evp import combinatorics
 from gevrey_evp.cli import main
 from gevrey_evp.harness import (
+    _EXPERIMENTS,
     ConfigError,
     emit_csv,
     emit_svg,
     fit_rate,
     parse_config,
-    read_csv,
-    serialize_config,
 )
+from support import read_csv
 
 
 class TestParseConfig:
@@ -76,28 +77,56 @@ class TestParseConfig:
             parse_config("[cbc]\ns = 4\n", {"command": "gl-study"})
         assert err.value.violations == ["config is for [cbc], command is gl-study"]
 
-    def test_roundtrip_equality(self):
-        text = (
-            "[qmc-study]\nmodel = qmc-analytic\nm = 16\ns = 5\nlevels = 3..6\n"
-            "shifts = 4\nseed = 99\ntheta = 0.8\n"
-        )
-        cfg = parse_config(text)
-        again = parse_config(serialize_config(cfg))
-        assert again == cfg
+    def test_each_field_type(self):
+        cfg = parse_config("[qmc-study]\nmodel = qmc-analytic\nlevels = 3..6\n"
+                           "theta = 0.8\nwith_mc = no\nvectors = 'z_{n}.txt'\n")
+        assert cfg["levels"] == (3, 6) and cfg["theta"] == 0.8
+        assert cfg["with_mc"] is False and cfg["vectors"] == "z_{n}.txt"
+        cfg = parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = 1, 3,5\n")
+        assert cfg["s_list"] == (1, 3, 5)
+        cfg = parse_config("[solve-evp]\nmodel = gl-analytic\ny = 0.25,-0.5\n"
+                           "second = TRUE\n")
+        assert cfg["y"] == (0.25, -0.5) and cfg["second"] is True
+        with pytest.raises(ConfigError) as err:
+            parse_config("[qmc-study]\nmodel = qmc-analytic\nlevels = 3\n"
+                         "with_mc = maybe\ns_list = 1\n")
+        assert err.value.violations == [
+            "line 3: expected 'lo..hi', got '3'",
+            "line 4: expected true/false, got 'maybe'",
+            "line 5: unknown key 's_list' for [qmc-study]",
+        ]
 
-    def test_roundtrip_all_experiments(self):
+    def test_minimal_config_of_every_experiment(self):
         minimal = {
             "gl-study": "model = gl-analytic",
             "qmc-study": "model = qmc-analytic",
             "mc-study": "model = qmc-gevrey2",
             "trunc-study": "model = qmc-analytic",
             "checks": "which = combinatorics",
-            "solve-evp": "model = gl-analytic\ny = 0.25,-0.5",
+            "solve-evp": "model = gl-analytic",
             "cbc": "s = 4",
         }
+        assert set(minimal) == set(_EXPERIMENTS)
         for section, body in minimal.items():
             cfg = parse_config(f"[{section}]\n{body}\n")
-            assert parse_config(serialize_config(cfg)) == cfg
+            assert cfg.experiment == section
+            assert set(cfg.fields) == set(_EXPERIMENTS[section])
+
+    def test_single_key_rules_are_tagged(self):
+        text = "[trunc-study]\nmodel = qmc-analytic\ns_list = 4,2\ntheta = 0.5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text, {"command": "trunc-study", "theta": "1.5"})
+        assert err.value.violations == [
+            "line 3: s_list must be nonempty ascending",
+            "line 4: theta must lie in (1/2, 1]",
+            "flag --theta: theta must lie in (1/2, 1]",
+        ]
+        with pytest.raises(ConfigError) as err:
+            parse_config("[mc-study]\nmodel = constant\nlevels = 0..3\n")
+        assert err.value.violations == ["line 3: levels 0..3 must satisfy 1 <= lo <= hi"]
+        with pytest.raises(ConfigError) as err:
+            parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = 1,16\n")
+        assert err.value.violations == ["ref_s = 16 must exceed max(s_list) = 16"]
 
 
 class TestFitRate:
@@ -179,6 +208,18 @@ class TestCli:
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
 
+    def test_checks_combinatorics_reports_a_broken_identity(self, monkeypatch, capsys):
+        true_sum = combinatorics.binomial_ff_sum
+        monkeypatch.setattr(combinatorics, "binomial_ff_sum",
+                            lambda n, variant="inner": true_sum(n, variant) + 1)
+        code = main(["checks", "combinatorics", "--n-max", "10", "--nu-max", "3"])
+        rows = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert len(rows) == 6
+        assert [r for r in rows if not r.startswith("PASS")] == [
+            "FAIL  binomial ff sums equal {2,3,4} ff_half, n = 2..10"
+        ]
+
     def test_solve_evp_prints_lambda(self, capsys):
         code = main(["solve-evp", "--model", "constant", "--m", "8",
                      "--tol", "1e-12"])
@@ -212,7 +253,7 @@ class TestCli:
         assert code == 0
         assert "lambda2 = " in out
 
-    def test_validation_exit_code(self, capsys):
+    def test_validation_exit_code(self, tmp_path, capsys):
         assert main(["gl-study", "--model", "not-a-model"]) == 1
         assert main(["solve-evp", "--model", "gl-analytic", "--m", "1"]) == 1
         # a value that does not parse is a validation error too, not exit 2
@@ -227,6 +268,15 @@ class TestCli:
             err = capsys.readouterr().err
             assert err.startswith("usage: gevrey-evp")
             assert "config error: gevrey-evp" in err
+        # one theta rule, (1/2, 1], for every experiment with POD weights
+        assert main(["cbc", "--s", "4", "--n", "16", "--theta", "1.0",
+                     "--out", str(tmp_path / "z.txt")]) == 0
+        capsys.readouterr()
+        for argv in (["cbc"], ["qmc-study", "--model", "qmc-analytic"],
+                     ["trunc-study", "--model", "qmc-analytic"]):
+            assert main(argv + ["--theta", "0.3"]) == 1
+            assert capsys.readouterr().err == (
+                "config error: flag --theta: theta must lie in (1/2, 1]\n")
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
@@ -288,7 +338,7 @@ class TestCli:
                      "--s-list", "1,2", "--ref-s", "4", "--level", "3",
                      "--shifts", "2", "--seed", "5", "--out", str(out)])
         assert code == 0
-        meta, cols, rows = __import__("gevrey_evp").harness.read_csv(out)
+        meta, cols, rows = read_csv(out)
         assert cols == ["s", "error"]
         assert len(rows) == 2
 

@@ -6,8 +6,8 @@ import pytest
 from gevrey_evp import quad1d
 from gevrey_evp.cli import main
 from gevrey_evp.coefficients import model_by_name
-from gevrey_evp.harness import read_csv
 from gevrey_evp.quad1d import gauss_legendre, gl_study
+from support import read_csv
 
 
 class TestGaussLegendre:
