@@ -1,9 +1,9 @@
 """Assemble and solve the parametric eigenvalue problem on the unit square.
 
 -div(a grad u) + b u = lambda c u with zero boundary values, discretized by
-P1 triangles on a uniform mesh; the smallest eigenpair comes from inverse
-power iteration, the second from block subspace iteration held M-orthogonal
-to the first.
+P1 triangles on a uniform mesh; the smallest eigenpair comes from LOBPCG
+with a fast-sine preconditioner, the second from block subspace iteration
+held M-orthogonal to the first.
 """
 
 import numpy as np

@@ -1,8 +1,8 @@
 """Toolkit for parametric second-order elliptic eigenvalue problems.
 
 Exact falling-factorial combinatorics, parametric coefficient fields with
-certified constants, P1 finite elements on the unit square, inverse power
-iteration, Gauss-Legendre and randomly shifted lattice-rule quadrature
+certified constants, P1 finite elements on the unit square, preconditioned
+eigensolvers, Gauss-Legendre and randomly shifted lattice-rule quadrature
 studies, and Gevrey-order classification of parameter-to-eigenvalue maps.
 """
 

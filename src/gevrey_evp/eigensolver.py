@@ -1,11 +1,21 @@
-"""Shifted inverse iteration for the two smallest generalized eigenpairs.
+"""Preconditioned eigensolvers for the two smallest generalized eigenpairs.
 
 Solves A u = lambda M u for symmetric positive definite sparse A, M.  The
-smallest pair comes from inverse iteration with M-normalization.  The second
-comes from subspace iteration on a block of a few vectors held M-orthogonal
-to the first eigenvector, with a Rayleigh-Ritz step after every block solve
-(as in Knyazev's LOBPCG): the lowest Ritz pair converges at the rate set by
-the first eigenvalue beyond the block, so a lambda2 equal or close to lambda3
+smallest pair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
+Comput. 23, 2001): every step takes the Rayleigh-Ritz pair of the basis
+[x, T r, p], with r the residual of the iterate x and p the last step's
+direction.  T is one of two preconditioners:
+
+- a mesh system (``fem.Assembler``) carries its own in
+  ``SparseSystem.precondition``: a fast-sine solve spectrally equivalent to
+  (A - sigma M)^-1, four dense GEMMs of order m - 1 and no factorisation;
+- a system built by hand has none, and T = (A - sigma M)^-1 through a banded
+  factor, which makes the loop shift-invert iteration with Ritz acceleration.
+
+The second pair comes from subspace iteration on a block of a few vectors
+held M-orthogonal to the first eigenvector, with a Rayleigh-Ritz step after
+every block solve: the lowest Ritz pair converges at the rate set by the
+first eigenvalue beyond the block, so a lambda2 equal or close to lambda3
 costs no more than a well separated one.
 
 Both loops share one stopping rule: successive Rayleigh quotients differ by
@@ -15,12 +25,15 @@ fallback, so the solver terminates even when that floor is unreachable.
 Both tests are relative, so they mean the same at any eigenvalue scale.
 ``EigenPair.exit_reason`` names the exit that accepted a pair.
 
-The iteration is shifted by the system's certified lower bound sigma on
-lambda1 (``SparseSystem.shift``): every solve factors A - sigma M once by a
-banded Cholesky decomposition (LAPACK dpbtrf; in lexicographic order the FEM
-matrices have bandwidth m) and reuses the factor in every step.  These band
-calls are far too small to gain from BLAS threads, so each solve holds
-OpenBLAS at one thread while it runs.
+Both loops are shifted by the system's certified lower bound sigma on
+lambda1 (``SparseSystem.shift``).  The block loop, and the lambda1 loop of a
+hand-built system, factor A - sigma M once by a banded Cholesky
+decomposition (LAPACK dpbtrf; in lexicographic order the FEM matrices have
+bandwidth m) and reuse the factor in every step; a failed factorisation, or
+a lambda1 not above sigma, raises ``EigenSolveError`` naming sigma.  The
+band calls are far too small to gain from BLAS threads, and one thread keeps
+the rounding of the GEMMs independent of the thread count, so each solve
+holds OpenBLAS at one thread while it runs.
 """
 
 from __future__ import annotations
@@ -242,26 +255,59 @@ def _converge(step, tol: float, max_iter: int) -> EigenPair:
 
 @_one_blas_thread()
 def _iterate(sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int) -> EigenPair:
-    """Inverse iteration on the shifted pair with M-normalization."""
-    A, M = sys.A, sys.M
-    solve = _shifted_solver(sys)
+    """Single-vector LOBPCG: a Rayleigh-Ritz step on [x, T r, p] per step.
 
-    def m_normalize(v):
-        nrm2 = float(v @ (M @ v))
+    T is the system's preconditioner, or (A - shift M)^-1 through a banded
+    factor where it has none.  The rows of X hold the basis x, w = T r and
+    the previous direction p, with their products by A and M in AX and MX;
+    w and p are scaled to unit M-norm.  Where the M-Gram matrix of the basis
+    is not positive definite (1- and 2-dof systems, converged iterates), p
+    and then w are dropped.  A x and M x are recomputed for every iterate,
+    so the residual is that of x itself; A p and M p are carried along.
+    """
+    A, M = sys.A, sys.M
+    precondition = sys.precondition or _shifted_solver(sys)
+    X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
+    rows = 2  # x and w; p joins after the first step
+
+    def accept(v):
+        """M-normalize v into row 0; its Rayleigh quotient and residual."""
+        Av, Mv = A @ v, M @ v
+        nrm2 = float(v @ Mv)
         if not np.isfinite(nrm2) or nrm2 <= 0.0:
             raise EigenSolveError("iterate collapsed (singular M)")
-        return v / np.sqrt(nrm2)
+        scale = 1.0 / np.sqrt(nrm2)
+        X[0], AX[0], MX[0] = v * scale, Av * scale, Mv * scale
+        lam = float(X[0] @ AX[0])
+        return lam, AX[0] - lam * MX[0]
 
-    x = m_normalize(x0)
+    lam, r = accept(x0)
 
     def step():
-        nonlocal x
-        x = m_normalize(solve(M @ x))
-        Ax = A @ x
-        Mx = M @ x
-        lam = float(x @ Ax)
-        res = float(np.linalg.norm(Ax - lam * Mx) / np.linalg.norm(x))
-        return lam, x, res
+        nonlocal lam, r, rows
+        X[1] = precondition(r)
+        AX[1], MX[1] = A @ X[1], M @ X[1]
+        scale = np.einsum("ij,ij->i", X[1:rows], MX[1:rows])
+        scale = (np.where(scale > 0.0, scale, 1.0) ** -0.5)[:, None]
+        for Z in (X, AX, MX):
+            Z[1:rows] *= scale
+        GA, GM = X[:rows] @ AX[:rows].T, X[:rows] @ MX[:rows].T
+        for k in range(rows, 0, -1):
+            try:
+                _, C = sla.eigh(GA[:k, :k], GM[:k, :k], check_finite=False)
+                break
+            except np.linalg.LinAlgError:
+                continue  # rank loss: drop p, then w
+        else:
+            raise EigenSolveError("iterate collapsed (singular M)")
+        c = np.copysign(1.0, C[0, 0]) * C[:, 0]  # keep the orientation of x
+        v = c[0] * X[0]
+        for Z in (X, AX, MX):
+            Z[2] = c[1:] @ Z[1:k]
+        v += X[2]
+        lam, r = accept(v)
+        rows = 3 if k > 1 else 2
+        return lam, X[0].copy(), float(np.linalg.norm(r) / np.linalg.norm(X[0]))
 
     return _converge(step, tol, max_iter)
 
@@ -313,16 +359,24 @@ def _block_iterate(
 def smallest_eigenpair(
     sys: SparseSystem, tol: float = 1e-14, max_iter: int = 10000
 ) -> EigenPair:
-    """Smallest eigenpair of A u = lambda M u by inverse power iteration.
+    """Smallest eigenpair of A u = lambda M u by preconditioned LOBPCG.
 
     Starts from the constant all-ones interior vector; the eigenvector is
-    returned M-normalized.
+    returned M-normalized.  Raises ``EigenSolveError`` when the eigenvalue
+    found is not above the system's certified shift.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_system(sys)
     x0 = np.ones(sys.n_dof)
-    return _iterate(sys, x0, tol, max_iter)
+    pair = _iterate(sys, x0, tol, max_iter)
+    if pair.value <= sys.shift:
+        # mesh systems never factor A - sigma M, which would have caught this
+        raise EigenSolveError(
+            f"lambda1 = {pair.value!r} is not above sigma = {sys.shift!r}, "
+            "against the certified bound", last=pair,
+        )
+    return pair
 
 
 def second_eigenpair(

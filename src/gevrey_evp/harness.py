@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import MODEL_NAMES
+from .qmc import theta_problem
 
 __all__ = [
     "RunConfig",
@@ -60,8 +61,7 @@ def _model_name(v):
 
 
 # POD weights need the finite zeta(2 theta), so theta in (1/2, 1]
-_THETA = _Field("float", 0.6, lambda v: None if 0.5 < v <= 1.0
-                else "theta must lie in (1/2, 1]")
+_THETA = _Field("float", 0.6, theta_problem)
 _LEVELS = _Field("intpair", (4, 10), lambda v: None if 1 <= v[0] <= v[1]
                  else f"levels {v[0]}..{v[1]} must satisfy 1 <= lo <= hi")
 
@@ -278,7 +278,7 @@ def parse_config(text: str, flags: dict | None = None) -> RunConfig:
             except ValueError as exc:
                 errors.append(f"flag --{key.replace('_', '-')}: {exc}")
         for key, spec in schema.items():
-            if key in fields or key in given:  # a bad flag is reported above
+            if key in seen or key in given:  # a bad line or flag is reported above
                 continue
             if spec.default is None:
                 errors.append(f"missing required key {key!r}")

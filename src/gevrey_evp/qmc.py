@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _ORDER_CAP = 30
+# zeta(2 theta) has its pole at theta = 1/2, and phi(theta) grows without
+# bound as theta nears it; the weights refuse theta below this floor
 _THETA_FLOOR = 0.5 + 1e-6
 
 
@@ -65,13 +67,22 @@ def bernoulli2(x: np.ndarray) -> np.ndarray:
     return x * x - x + 1.0 / 6.0
 
 
+def theta_problem(theta: float) -> str | None:
+    """Why theta is unusable for POD weights, or None where it lies in
+    [_THETA_FLOOR, 1]; the one theta rule of the weights and the config."""
+    if not 0.5 < theta <= 1.0:
+        return "theta must lie in (1/2, 1]"
+    if theta < _THETA_FLOOR:
+        return f"theta must be at least {_THETA_FLOOR} (zeta pole at 1/2)"
+    return None
+
+
 def bernoulli_zeta_factor(theta: float) -> float:
     """phi(theta) = 2 zeta(2 theta) / (2 pi^2)^theta for theta in (1/2, 1]."""
     theta = float(theta)
-    if theta < _THETA_FLOOR:
-        raise ValueError(f"theta must exceed 1/2 (zeta pole), got {theta}")
-    if theta > 1.0:
-        raise ValueError(f"theta must be at most 1, got {theta}")
+    problem = theta_problem(theta)
+    if problem:
+        raise ValueError(f"{problem}, got {theta}")
     return 2.0 * zeta(2.0 * theta) / (2.0 * math.pi**2) ** theta
 
 

@@ -14,7 +14,7 @@ from gevrey_evp.eigensolver import (
     second_eigenpair,
     smallest_eigenpair,
 )
-from gevrey_evp.fem import assemble, build_mesh
+from gevrey_evp.fem import Assembler, assemble, build_mesh
 
 
 class TestDiagonalExamples:
@@ -121,18 +121,18 @@ class TestContracts:
 
 class TestBlasThreads:
     def test_solve_holds_one_blas_thread(self, monkeypatch):
+        # the preconditioner's GEMMs are the BLAS calls of a mesh solve
         threads = [4]
         seen = []
-        factor = eigensolver._factor_shifted
         monkeypatch.setattr(eigensolver, "_BLAS_THREADS",
                             ((lambda: threads[0], lambda n: threads.__setitem__(0, n)),))
-        monkeypatch.setattr(eigensolver, "_factor_shifted",
-                            lambda sys: seen.append(threads[0]) or factor(sys))
         sysm = assemble(build_mesh(6), model_by_name("constant"), [0.0])
+        T = sysm.precondition
+        sysm = replace(sysm, precondition=lambda r: seen.append(threads[0]) or T(r))
         with eigensolver._one_blas_thread():
             smallest_eigenpair(sysm)
             assert threads == [1]  # an overlapping solve does not restore early
-        assert seen == [1]
+        assert seen and set(seen) == {1}
         assert threads == [4]
 
     def test_thread_count_restored(self):
@@ -167,6 +167,60 @@ class TestCertifiedShift:
         lam1 = smallest_eigenpair(sysm).value
         with pytest.raises(EigenSolveError, match="sigma"):
             smallest_eigenpair(replace(sysm, shift=1.05 * lam1))
+
+
+class TestSinePreconditioner:
+    """The sine T of mesh systems against the exact (A - sigma M)^-1."""
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_agrees_with_banded_and_dense(self, name):
+        model = model_by_name(name)
+        rng = np.random.default_rng(97)
+        h = model.param_halfwidth
+        for m in (8, 16, 32):
+            asm = Assembler(build_mesh(m), model)
+            corners = _box_corners(model)
+            points = corners + [rng.uniform(-h, h, corners[0].size) for _ in range(3)]
+            for y in points:
+                sysm = asm.system(y)
+                sine = smallest_eigenpair(sysm).value
+                banded = smallest_eigenpair(replace(sysm, precondition=None)).value
+                dense = _dense_eigenvalues(sysm, 1)[0]
+                assert abs(sine - banded) <= 1e-13 * banded
+                assert abs(sine - dense) <= 1e-10 * dense
+
+    def test_iterations_flat_in_m(self):
+        # spectral equivalence bounds the count independently of h; gl-analytic
+        # has the widest contrast, a_hi / a_lo = 3
+        model = model_by_name("gl-analytic")
+        for m in (16, 64):
+            asm = Assembler(build_mesh(m), model)
+            for y in ([-1.0], [0.0], [1.0]):
+                assert smallest_eigenpair(asm.system(y)).iterations <= 12
+
+    def _factor_calls(self, monkeypatch):
+        calls = []
+        factor = eigensolver._factor_shifted
+        monkeypatch.setattr(eigensolver, "_factor_shifted",
+                            lambda sys: calls.append(sys.n_dof) or factor(sys))
+        return calls
+
+    def test_mesh_solve_factors_nothing(self, monkeypatch):
+        calls = self._factor_calls(monkeypatch)
+        smallest_eigenpair(assemble(build_mesh(8), model_by_name("gl-analytic"), [0.3]))
+        assert calls == []
+
+    def test_hand_built_solve_factors_once(self, monkeypatch):
+        calls = self._factor_calls(monkeypatch)
+        smallest_eigenpair(system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3)))
+        assert calls == [3]
+
+    def test_gap_factors_once_per_sample(self, monkeypatch):
+        # only lambda2 still factors A - sigma M
+        calls = self._factor_calls(monkeypatch)
+        samples = np.random.default_rng(5).random((8, 20)) - 0.5
+        estimate_gap(model_by_name("qmc-analytic"), 8, samples)
+        assert len(calls) == 8
 
 
 def _dense_eigenvalues(sysm, count):
@@ -247,12 +301,13 @@ class TestExits:
         assert (p1.exit_reason, p2.exit_reason) == ("step", "step")
 
     def test_residual_floor_exit(self):
-        p1, p2 = self._pairs([0.25], 1e-20)
+        p1, p2 = self._pairs([0.0], 1e-20)
         assert (p1.exit_reason, p2.exit_reason) == ("floor", "floor")
 
     def test_plateau_exit(self):
-        p1, p2 = self._pairs([-0.7], 1e-20)
-        assert (p1.exit_reason, p2.exit_reason) == ("floor", "plateau")
+        p1, _ = self._pairs([1.0], 1e-20)
+        _, p2 = self._pairs([-1.0], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("plateau", "plateau")
 
     def test_unconverged_pair_has_no_exit(self):
         sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.0])

@@ -1,0 +1,42 @@
+"""What only a fresh interpreter shows: the import surface, and CSV bytes
+that do not depend on the BLAS thread count."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run(code, tmp_path, **env_vars):
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_heavy_scipy_modules(tmp_path):
+    # each adds start-up time to every command; the solver needs neither
+    out = _run("import sys, gevrey_evp; "
+               "print(sorted(m for m in sys.modules "
+               "if m.startswith(('scipy.fft', 'scipy.sparse.linalg'))))", tmp_path)
+    assert out.strip() == "[]"
+
+
+def test_csv_bytes_independent_of_blas_threads(tmp_path):
+    # m = 128 runs the preconditioner's GEMMs at a size where threaded BLAS
+    # would split them, and the banded solves used to round differently
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"gl_{threads}.csv"
+        _run("from gevrey_evp.cli import main; raise SystemExit(main(["
+             "'gl-study', '--model', 'gl-analytic', '--m', '128', '--n-min', '2', "
+             f"'--n-max', '3', '--n-star', '4', '--out', {str(out)!r}]))",
+             tmp_path, OPENBLAS_NUM_THREADS=threads)
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]

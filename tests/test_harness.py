@@ -277,6 +277,18 @@ class TestCli:
             assert main(argv + ["--theta", "0.3"]) == 1
             assert capsys.readouterr().err == (
                 "config error: flag --theta: theta must lie in (1/2, 1]\n")
+        # the config refuses theta below the weights' floor, so no run fails later
+        assert main(["cbc", "--s", "4", "--n", "16", "--theta", "0.5000001"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: flag --theta: theta must be at least 0.500001 "
+            "(zeta pole at 1/2)\n")
+
+    def test_bad_required_line_reported_once(self, tmp_path, capsys):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("[gl-study]\nmodel = mystery\nm = 8\n")
+        assert main(["gl-study", "--config", str(cfgfile)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: line 2: unknown model 'mystery'\n")
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
