@@ -12,6 +12,9 @@ direction.  T is one of two preconditioners:
 - a system built by hand has none, and T = (A - sigma M)^-1 through a banded
   factor, which makes the loop shift-invert iteration with Ritz acceleration.
 
+The start is ``SparseSystem.start``, the lowest sine mode scaled by
+diag(A)^-1/2 on a mesh system, or else the all-ones vector.
+
 The second pair comes from subspace iteration on a block of a few vectors
 held M-orthogonal to the first eigenvector, with a Rayleigh-Ritz step after
 every block solve: the lowest Ritz pair converges at the rate set by the
@@ -361,14 +364,15 @@ def smallest_eigenpair(
 ) -> EigenPair:
     """Smallest eigenpair of A u = lambda M u by preconditioned LOBPCG.
 
-    Starts from the constant all-ones interior vector; the eigenvector is
-    returned M-normalized.  Raises ``EigenSolveError`` when the eigenvalue
-    found is not above the system's certified shift.
+    Starts from ``sys.start``, or from the all-ones vector where the system
+    has none; the eigenvector is returned M-normalized.  Raises
+    ``EigenSolveError`` when the eigenvalue found is not above the system's
+    certified shift.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_system(sys)
-    x0 = np.ones(sys.n_dof)
+    x0 = np.ones(sys.n_dof) if sys.start is None else sys.start
     pair = _iterate(sys, x0, tol, max_iter)
     if pair.value <= sys.shift:
         # mesh systems never factor A - sigma M, which would have caught this

@@ -43,12 +43,20 @@ _G_UPPER = 0.5 * np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]
 _MID_PHI = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _MID_OUTER = np.einsum("kp,kq->kpq", _MID_PHI, _MID_PHI)
 
+# Corners (dx, dy) of the lower and upper triangle of a cell, in grid units.
+_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+# Neighbour offsets (dx, dy) of an interior node in the sparsity pattern: the
+# 7-point stencil, in the order of their columns in a CSR row.
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+
 
 class Mesh:
     """Uniform triangulation of (0,1)^2 with (m+1)^2 vertices.
 
-    Precomputes, per triangle: the interior-dof indices of its vertices
-    (-1 on the boundary) and the coordinates of its three edge midpoints.
+    Cell (i, j), numbered j * m + i, holds a lower triangle with corners
+    (i, j), (i+1, j), (i+1, j+1) and an upper one with (i, j), (i+1, j+1),
+    (i, j+1), in grid units (``_CORNERS``).  Precomputes the coordinates of
+    the three edge midpoints of every triangle.
     """
 
     def __init__(self, m: int):
@@ -61,24 +69,11 @@ class Mesh:
         self.n_dof = (m - 1) ** 2
 
         cells = np.arange(m * m)
-        ci = cells % m
-        cj = cells // m
-
-        def dof(i, j):
-            inner = (i >= 1) & (i <= m - 1) & (j >= 1) & (j <= m - 1)
-            return np.where(inner, (j - 1) * (m - 1) + (i - 1), -1)
-
-        # vertex dof indices, shape (2, m*m, 3): orientation 0 = lower, 1 = upper
-        self.tri_dofs = np.stack(
-            [
-                np.stack([dof(ci, cj), dof(ci + 1, cj), dof(ci + 1, cj + 1)], axis=1),
-                np.stack([dof(ci, cj), dof(ci + 1, cj + 1), dof(ci, cj + 1)], axis=1),
-            ]
-        )
         h = self.h
-        x = ci * h
-        y = cj * h
-        # edge midpoints in the order (m01, m12, m02), shape (2, m*m, 3)
+        x = cells % m * h
+        y = cells // m * h
+        # edge midpoints in the order (m01, m12, m02), shape (2, m*m, 3):
+        # orientation 0 = lower, 1 = upper
         self.mid_x1 = np.stack(
             [
                 np.stack([x + 0.5 * h, x + h, x + 0.5 * h], axis=1),
@@ -106,7 +101,9 @@ class SparseSystem:
     systems built by hand keep 0.  ``precondition`` maps a residual vector to
     a search direction for the lambda1 solver, approximately (A - shift M)^-1
     applied to it; systems built by hand keep None, and the solver then uses
-    the exact inverse through a banded factor of A - shift M.
+    the exact inverse through a banded factor of A - shift M.  ``start`` is
+    the first iterate of that solver, close to the first eigenvector; None
+    starts it from the all-ones vector.
     """
 
     A: sp.csr_matrix
@@ -114,32 +111,7 @@ class SparseSystem:
     n_dof: int
     shift: float = 0.0
     precondition: Callable[[np.ndarray], np.ndarray] | None = None
-
-
-def _scatter(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
-    """Scatter per-triangle local 3x3 blocks into a CSR matrix.
-
-    ``values`` has shape (2, n_cells, 3, 3).  Every off-diagonal entry
-    receives exactly two contributions (the two triangles sharing the edge),
-    so the summed matrix is exactly symmetric whenever the local blocks are.
-    """
-    rows, cols, data = [], [], []
-    for o in range(2):
-        dofs = mesh.tri_dofs[o]
-        for p in range(3):
-            for q in range(3):
-                r = dofs[:, p]
-                c = dofs[:, q]
-                keep = (r >= 0) & (c >= 0)
-                rows.append(r[keep])
-                cols.append(c[keep])
-                data.append(values[o, keep, p, q])
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_dof, mesh.n_dof),
-    ).tocsr()
-    mat.sort_indices()
-    return mat
+    start: np.ndarray | None = None
 
 
 def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
@@ -156,35 +128,38 @@ def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
     return precondition
 
 
-def _stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from per-triangle mean diffusion to the data of A.
+def _position_index(m: int):
+    """CSR pattern of the mesh matrices, and the slot of every local entry.
 
-    Row k of the map holds the local stiffness entries that land on the k-th
-    stored entry of the CSR pattern (indptr, indices); column o * n_cells + t
-    belongs to triangle t of orientation o.
+    The pattern is the 7-point stencil cut at the boundary, so it follows in
+    closed form.  Returns (indptr, indices, pos): pos, flat in the order
+    (o, t, p, q), is the CSR slot on which local entry (p, q) of triangle t
+    of orientation o lands; where vertex p or q is on the boundary it is
+    nnz, one past the last slot.
     """
-    n = mesh.n_dof
-    n_cells = mesh.m * mesh.m
-    # one key per stored entry, ascending: CSR rows with sorted indices
-    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-    cells = np.arange(n_cells, dtype=np.int64)
-    pos, col, val = [], [], []
-    for o, g in enumerate((_G_LOWER, _G_UPPER)):
-        dofs = mesh.tri_dofs[o]
-        for p in range(3):
-            for q in range(3):
-                if g[p, q] == 0.0:
-                    continue
-                r = dofs[:, p]
-                c = dofs[:, q]
-                keep = (r >= 0) & (c >= 0)
-                pos.append(np.searchsorted(keys, r[keep] * n + c[keep]))
-                col.append(o * n_cells + cells[keep])
-                val.append(np.full(pos[-1].size, g[p, q]))
-    return sp.csr_matrix(
-        (np.concatenate(val), (np.concatenate(pos), np.concatenate(col))),
-        shape=(keys.size, 2 * n_cells),
+    k = m - 1
+    node = np.arange(1, m)
+    inside = [(node + d >= 1) & (node + d <= k) for d in (-1, 0, 1)]
+    # present[j, i, s]: neighbour s of interior node (i, j) is interior too
+    present = np.stack(
+        [inside[dy + 1][:, None] & inside[dx + 1][None, :] for dx, dy in _STENCIL], axis=2
     )
+    slot = np.cumsum(present.ravel()).reshape(present.shape) - 1
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2).ravel())])
+    offsets = np.array([dx + k * dy for dx, dy in _STENCIL])
+    indices = (np.arange(k * k).reshape(k, k, 1) + offsets)[present]
+    pos = np.full((2, 3, 3, m, m), indices.size)
+    for o, corners in enumerate(_CORNERS):
+        for p, (px, py) in enumerate(corners):
+            for q, (qx, qy) in enumerate(corners):
+                # both vertices are interior in the cells (i, j) with
+                # 1 - min(px, qx) <= i <= k - max(px, qx), likewise for j
+                i0, i1 = 1 - min(px, qx), m - max(px, qx)
+                j0, j1 = 1 - min(py, qy), m - max(py, qy)
+                s = _STENCIL.index((qx - px, qy - py))
+                pos[o, p, q, j0:j1, i0:i1] = slot[j0 + py - 1 : j1 + py - 1,
+                                                  i0 + px - 1 : i1 + px - 1, s]
+    return indptr, indices, pos.transpose(0, 3, 4, 1, 2).ravel()
 
 
 class Assembler:
@@ -195,7 +170,9 @@ class Assembler:
     entire mass matrix and reaction contribution.  The sparsity pattern does
     not depend on the parameters either: A shares the pattern of M, and its
     data is one sparse product of a fixed map with the per-triangle mean
-    diffusion, plus the cached reaction data.
+    diffusion, plus the cached reaction data.  One position index, the CSR
+    slot of every local entry (``_position_index``), gives the pattern, the
+    mass and reaction data (one ``np.bincount`` each) and the map.
 
     Every system carries a fast-sine preconditioner for the lambda1 solver.
     For a == 1 the P1 stiffness on this mesh is the 5-point stencil, which
@@ -207,7 +184,9 @@ class Assembler:
 
     is spectrally equivalent to (A - sigma M)^-1 (Knyazev & Neymeyr, Linear
     Algebra Appl. 358, 2003), where a_mean is the mean of the per-triangle
-    diffusion at y and c_mean that of the mass weight.
+    diffusion at y and c_mean that of the mass weight.  The same S gives each
+    system's start vector, D^-1/2 times the lowest mode, sin(pi x1) sin(pi x2)
+    on the interior grid.
     """
 
     def __init__(self, mesh: Mesh, model: CoefficientModel):
@@ -217,14 +196,29 @@ class Assembler:
         scale = mesh.h * mesh.h / 6.0
         b_mid = model.b(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
         c_mid = model.c(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
-        self._M = _scatter(mesh, scale * np.einsum("otk,kpq->otpq", c_mid, _MID_OUTER))
-        # _scatter keeps every local entry, zeros included, so the reaction
-        # part has the pattern of M entry for entry
-        b_blocks = scale * np.einsum("otk,kpq->otpq", b_mid, _MID_OUTER)
-        self._b_data = _scatter(mesh, b_blocks).data
-        self._indptr = self._M.indptr.copy()
-        self._indices = self._M.indices.copy()
-        self._map = _stiffness_map(mesh, self._indptr, self._indices)
+        indptr, indices, pos = _position_index(mesh.m)
+        n, nnz = mesh.n_dof, indices.size
+
+        def scatter(weights):
+            blocks = scale * (weights @ _MID_OUTER.reshape(3, 9))
+            return np.bincount(pos, blocks.ravel(), nnz + 1)[:nnz]
+
+        self._M = sp.csr_matrix((scatter(c_mid), indices, indptr), shape=(n, n))
+        self._indptr, self._indices = self._M.indptr, self._M.indices
+        self._b_data = scatter(b_mid)
+        # column o * m^2 + t of the map holds the local stiffness entries of
+        # triangle t of orientation o in the rows of their slots, less the
+        # zeros and the row past the last slot (the boundary entries)
+        cols = 2 * mesh.m**2
+        g = np.stack([_G_LOWER, _G_UPPER]).reshape(2, 1, 9).repeat(cols // 2, axis=1)
+        stiff = sp.csc_matrix(
+            (g.ravel(), pos, np.arange(0, pos.size + 1, 9)), shape=(nnz + 1, cols)
+        ).tocsr()
+        stiff.eliminate_zeros()
+        end = stiff.indptr[nnz]
+        self._map = sp.csr_matrix(
+            (stiff.data[:end], stiff.indices[:end], stiff.indptr[: nnz + 1]), shape=(nnz, cols)
+        )
         # conforming P1 with frozen coefficients in the certified ranges:
         # lambda1_h >= (a_lo / c_hi) * lambda1 of the Laplacian = CHI1 a_lo / c_hi
         self._shift = CHI1 * model.bounds.a_lo / model.bounds.c_hi
@@ -234,6 +228,7 @@ class Assembler:
         self._sine = np.sqrt(2.0 / mesh.m) * np.sin(phase)
         lam = 4.0 * np.sin(k * (np.pi / (2 * mesh.m))) ** 2
         self._sine_spectrum = lam[:, None] + lam[None, :]
+        self._mode = np.outer(self._sine[:, 0], self._sine[:, 0])
         self._mass_shift = 0.9 * self._shift * mesh.h * mesh.h * c_mid.mean()
 
     def system(self, y) -> SparseSystem:
@@ -245,7 +240,7 @@ class Assembler:
         d = (0.25 * A.diagonal()).reshape(k, k) ** -0.5
         denom = self._sine_spectrum - self._mass_shift / a_mean.mean()
         T = _sine_preconditioner(self._sine, denom, d)
-        return SparseSystem(A, self._M, n, self._shift, T)
+        return SparseSystem(A, self._M, n, self._shift, T, (d * self._mode).ravel())
 
 
 def assemble(mesh: Mesh, model: CoefficientModel, y) -> SparseSystem:

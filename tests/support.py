@@ -5,7 +5,8 @@ from itertools import combinations
 import numpy as np
 import scipy.sparse as sp
 
-from gevrey_evp.fem import SparseSystem
+from gevrey_evp import fem
+from gevrey_evp.fem import Mesh, SparseSystem
 from gevrey_evp.qmc import PODWeights, bernoulli2, pod_weight
 
 
@@ -25,6 +26,90 @@ def random_spd_pair(rng, n):
     r = rng.standard_normal((n, n)) * 0.2
     M = r @ r.T + np.eye(n)
     return system_from_dense(A, M)
+
+
+def triangle_dofs(mesh: Mesh) -> np.ndarray:
+    """Interior-dof numbers of the vertices of every triangle, -1 on the boundary.
+
+    Shape (2, m*m, 3): orientation 0 is the lower triangle of a cell, with
+    corners (i, j), (i+1, j), (i+1, j+1); 1 the upper, (i, j), (i+1, j+1),
+    (i, j+1).
+    """
+    m = mesh.m
+    cells = np.arange(m * m)
+    ci = cells % m
+    cj = cells // m
+
+    def dof(i, j):
+        inner = (i >= 1) & (i <= m - 1) & (j >= 1) & (j <= m - 1)
+        return np.where(inner, (j - 1) * (m - 1) + (i - 1), -1)
+
+    return np.stack(
+        [
+            np.stack([dof(ci, cj), dof(ci + 1, cj), dof(ci + 1, cj + 1)], axis=1),
+            np.stack([dof(ci, cj), dof(ci + 1, cj + 1), dof(ci, cj + 1)], axis=1),
+        ]
+    )
+
+
+def scatter_blocks(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
+    """Scatter per-triangle local 3x3 blocks into a CSR matrix through COO.
+
+    ``values`` has shape (2, m*m, 3, 3).  Every local entry whose two
+    vertices are interior is kept, zeros included.  The reference for the
+    fixed-pattern assembly of ``fem.Assembler``.
+    """
+    tri_dofs = triangle_dofs(mesh)
+    rows, cols, data = [], [], []
+    for o in range(2):
+        dofs = tri_dofs[o]
+        for p in range(3):
+            for q in range(3):
+                r = dofs[:, p]
+                c = dofs[:, q]
+                keep = (r >= 0) & (c >= 0)
+                rows.append(r[keep])
+                cols.append(c[keep])
+                data.append(values[o, keep, p, q])
+    mat = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(mesh.n_dof, mesh.n_dof),
+    ).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from per-triangle mean diffusion to the data of A, by search.
+
+    Row k holds the local stiffness entries that land on the k-th stored
+    entry of the CSR pattern (indptr, indices); column o * m^2 + t belongs to
+    triangle t of orientation o.  Each entry's slot is found by a binary
+    search over the (row, column) keys of the pattern.
+    """
+    n = mesh.n_dof
+    n_cells = mesh.m * mesh.m
+    tri_dofs = triangle_dofs(mesh)
+    # one key per stored entry, ascending: CSR rows with sorted indices
+    keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
+    cells = np.arange(n_cells, dtype=np.int64)
+    pos, col, val = [], [], []
+    for o, g in enumerate((fem._G_LOWER, fem._G_UPPER)):
+        dofs = tri_dofs[o]
+        for p in range(3):
+            for q in range(3):
+                if g[p, q] == 0.0:
+                    continue
+                r = dofs[:, p]
+                c = dofs[:, q]
+                keep = (r >= 0) & (c >= 0)
+                pos.append(np.searchsorted(keys, r[keep] * n + c[keep]))
+                col.append(o * n_cells + cells[keep])
+                val.append(np.full(pos[-1].size, g[p, q]))
+    return sp.csr_matrix(
+        (np.concatenate(val), (np.concatenate(pos), np.concatenate(col))),
+        shape=(keys.size, 2 * n_cells),
+    )
 
 
 def worst_case_error_sq(z, n: int, w: PODWeights) -> float:

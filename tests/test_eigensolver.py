@@ -185,8 +185,10 @@ class TestSinePreconditioner:
                 sysm = asm.system(y)
                 sine = smallest_eigenpair(sysm).value
                 banded = smallest_eigenpair(replace(sysm, precondition=None)).value
+                ones = eigensolver._iterate(sysm, np.ones(sysm.n_dof), 1e-14, 10000).value
                 dense = _dense_eigenvalues(sysm, 1)[0]
                 assert abs(sine - banded) <= 1e-13 * banded
+                assert abs(sine - ones) <= 1e-13 * ones
                 assert abs(sine - dense) <= 1e-10 * dense
 
     def test_iterations_flat_in_m(self):
@@ -197,6 +199,37 @@ class TestSinePreconditioner:
             asm = Assembler(build_mesh(m), model)
             for y in ([-1.0], [0.0], [1.0]):
                 assert smallest_eigenpair(asm.system(y)).iterations <= 12
+
+    @pytest.mark.parametrize("name", ["gl-gevrey3", "gl-analytic"])
+    def test_mode_start_saves_steps(self, name):
+        # the lowest sine mode, scaled by diag(A)^-1/2, starts closer to u1
+        # than the all-ones vector does
+        asm = Assembler(build_mesh(64), model_by_name(name))
+        mode, ones = [], []
+        for y in np.linspace(-0.9, 0.9, 7):
+            sysm = asm.system([y])
+            mode.append(smallest_eigenpair(sysm).iterations)
+            ones.append(eigensolver._iterate(sysm, np.ones(sysm.n_dof), 1e-14, 10000).iterations)
+        assert np.mean(mode) < np.mean(ones)
+
+    def test_start_vectors(self, monkeypatch):
+        starts = []
+        iterate = eigensolver._iterate
+        monkeypatch.setattr(eigensolver, "_iterate",
+                            lambda sys, x0, *rest: starts.append(x0) or iterate(sys, x0, *rest))
+        smallest_eigenpair(system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3)))
+        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.3])
+        smallest_eigenpair(sysm)
+        assert np.array_equal(starts[0], np.ones(3))
+        assert starts[1] is sysm.start and np.all(sysm.start > 0.0)
+
+    def test_one_step_raises(self):
+        # a capped call never converges: an exit needs two Rayleigh quotients
+        for sysm in (assemble(build_mesh(32), model_by_name("gl-gevrey3"), [0.2]),
+                     system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3))):
+            with pytest.raises(EigenSolveError) as err:
+                smallest_eigenpair(sysm, max_iter=1)
+            assert err.value.last.iterations == 1
 
     def _factor_calls(self, monkeypatch):
         calls = []
@@ -305,8 +338,7 @@ class TestExits:
         assert (p1.exit_reason, p2.exit_reason) == ("floor", "floor")
 
     def test_plateau_exit(self):
-        p1, _ = self._pairs([1.0], 1e-20)
-        _, p2 = self._pairs([-1.0], 1e-20)
+        p1, p2 = self._pairs([-0.6], 1e-20)
         assert (p1.exit_reason, p2.exit_reason) == ("plateau", "plateau")
 
     def test_unconverged_pair_has_no_exit(self):

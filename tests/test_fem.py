@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from support import scatter_blocks, stiffness_map
+
 from gevrey_evp import fem
 from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
 from gevrey_evp.eigensolver import smallest_eigenpair
@@ -74,24 +76,37 @@ class TestAssembly:
     )
     def test_fixed_pattern_matches_scatter(self, model):
         # reference: the per-triangle blocks scattered through COO -> CSR
-        mesh = build_mesh(11)
-        asm = Assembler(mesh, model)
-        scale = mesh.h * mesh.h / 6.0
-        b_mid = model.b(mesh.mid_x1, mesh.mid_x2, [0.0])
-        b_blocks = scale * np.einsum("otk,kpq->otpq", b_mid, fem._MID_OUTER)
         g = np.stack([fem._G_LOWER, fem._G_UPPER])
         rng = np.random.default_rng(11)
-        for _ in range(3):
-            y = (rng.random(min(model.dim, 20)) - 0.5) * model.param_halfwidth
-            a_mean = model.a(mesh.mid_x1, mesh.mid_x2, y).mean(axis=2)
-            ref = fem._scatter(mesh, np.einsum("ot,opq->otpq", a_mean, g) + b_blocks)
-            A = asm.system(y).A
-            assert np.array_equal(A.indptr, ref.indptr)
-            assert np.array_equal(A.indices, ref.indices)
-            # a diagonal entry sums six exact products, and COO -> CSR adds
-            # duplicates in an order of its own, so the sums can differ in
-            # the last two bits
-            assert np.all(np.abs(A.data - ref.data) <= 2 * np.spacing(np.abs(ref.data)))
+        for m in (2, 3, 11):
+            mesh = build_mesh(m)
+            asm = Assembler(mesh, model)
+            scale = mesh.h * mesh.h / 6.0
+            blocks = {name: scale * np.einsum("otk,kpq->otpq", f(mesh.mid_x1, mesh.mid_x2, [0.0]),
+                                              fem._MID_OUTER)
+                      for name, f in (("b", model.b), ("c", model.c))}
+            M = scatter_blocks(mesh, blocks["c"])
+            assert np.array_equal(asm._M.indptr, M.indptr)
+            assert np.array_equal(asm._M.indices, M.indices)
+            # b and c are constant for these models, so every contribution
+            # to an entry is the same and the sums agree bit for bit
+            assert np.array_equal(asm._M.data, M.data)
+            assert np.array_equal(asm._b_data, scatter_blocks(mesh, blocks["b"]).data)
+            search_map = stiffness_map(mesh, M.indptr, M.indices)
+            for _ in range(3):
+                y = (rng.random(min(model.dim, 20)) - 0.5) * model.param_halfwidth
+                a_mean = model.a(mesh.mid_x1, mesh.mid_x2, y).mean(axis=2)
+                ref = scatter_blocks(mesh, np.einsum("ot,opq->otpq", a_mean, g) + blocks["b"])
+                A = asm.system(y).A
+                assert np.array_equal(A.indptr, ref.indptr)
+                assert np.array_equal(A.indices, ref.indices)
+                # a diagonal entry sums six exact products, and COO -> CSR adds
+                # duplicates in an order of its own, so the sums can differ in
+                # the last two bits
+                assert np.all(np.abs(A.data - ref.data) <= 2 * np.spacing(np.abs(ref.data)))
+                # the map found by binary search over the pattern gives A bit
+                # for bit
+                assert np.array_equal(A.data, search_map @ a_mean.ravel() + asm._b_data)
 
     def test_coercivity_vs_unit_stiffness(self):
         # discrete analogue of a_lo ||v||^2 <= A_y(v, v)
