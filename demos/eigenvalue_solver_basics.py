@@ -2,8 +2,8 @@
 
 -div(a grad u) + b u = lambda c u with zero boundary values, discretized by
 P1 triangles on a uniform mesh; the smallest eigenpair comes from LOBPCG
-with a fast-sine preconditioner, the second from block subspace iteration
-held M-orthogonal to the first.
+with a fast-sine preconditioner, the second from the same loop held
+M-orthogonal to the first.
 """
 
 import numpy as np

@@ -164,6 +164,8 @@ class CoefficientModel:
         arr = np.atleast_1d(np.asarray(y, dtype=float))
         if arr.ndim != 1:
             raise ValueError("parameter vector must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"parameter components must be finite, got {arr.tolist()}")
         if self.kind == "constant":
             return arr  # the field ignores parameters; any length is fine
         if arr.size > self.dim:

@@ -15,28 +15,24 @@ direction.  T is one of two preconditioners:
 The start is ``SparseSystem.start``, the lowest sine mode scaled by
 diag(A)^-1/2 on a mesh system, or else the all-ones vector.
 
-The second pair comes from subspace iteration on a block of a few vectors
-held M-orthogonal to the first eigenvector, with a Rayleigh-Ritz step after
-every block solve: the lowest Ritz pair converges at the rate set by the
-first eigenvalue beyond the block, so a lambda2 equal or close to lambda3
-costs no more than a well separated one.
+The second pair comes from the same loop, deflated: its start, every T r
+and every iterate are M-projected against the first eigenvector, so it
+converges to the lowest eigenpair of the M-complement of u1.
 
-Both loops share one stopping rule: successive Rayleigh quotients differ by
+Both pairs share one stopping rule: successive Rayleigh quotients differ by
 at most ``tol * lambda`` AND the scaled residual ||Au - lambda Mu|| / ||u||
 has dropped below 10 * tol * lambda, with a residual-floor and a plateau
 fallback, so the solver terminates even when that floor is unreachable.
 Both tests are relative, so they mean the same at any eigenvalue scale.
 ``EigenPair.exit_reason`` names the exit that accepted a pair.
 
-Both loops are shifted by the system's certified lower bound sigma on
-lambda1 (``SparseSystem.shift``).  The block loop, and the lambda1 loop of a
-hand-built system, factor A - sigma M once by a banded Cholesky
-decomposition (LAPACK dpbtrf; in lexicographic order the FEM matrices have
-bandwidth m) and reuse the factor in every step; a failed factorisation, or
-a lambda1 not above sigma, raises ``EigenSolveError`` naming sigma.  The
-band calls are far too small to gain from BLAS threads, and one thread keeps
-the rounding of the GEMMs independent of the thread count, so each solve
-holds OpenBLAS at one thread while it runs.
+The shift is the system's certified lower bound sigma on lambda1
+(``SparseSystem.shift``).  Only a hand-built system factors A - sigma M,
+once per solve, by a banded Cholesky decomposition (LAPACK dpbtrf); a
+failed factorisation, or a lambda1 not above sigma, raises
+``EigenSolveError`` naming sigma.  Each solve holds OpenBLAS at one thread
+while it runs, so that the rounding of its dot products and GEMMs does not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -135,12 +131,15 @@ _blas_saved: list[int] = []
 def _one_blas_thread():
     """Hold every OpenBLAS in use at one thread while any solve runs.
 
-    The band calls are far too small to gain from threads: with one thread
-    per core on 2 cores, dpbtrf took 9.3 ms a call at m = 32 instead of about
-    0.5 ms.  One thread also keeps the rounding of the dot products, and so
-    the results, independent of the thread count.  The library runs its
-    solves one after another, but callers may overlap solves from threads of
-    their own, so the previous counts come back when the last one leaves.
+    One thread keeps the rounding of the dot products and the preconditioner's
+    GEMMs, and so the results, independent of the thread count: at m = 128
+    the CSV bytes differ between one and two threads without it.  It also
+    spares the banded factor of hand-built systems, which is far too small to
+    gain from threads (dpbtrf took 9.3 ms a call at m = 32 with one thread
+    per core on 2 cores, against about 0.5 ms with one).  The library runs
+    its solves one after another, but callers may overlap solves from
+    threads of their own, so the previous counts come back when the last
+    one leaves.
     """
     global _blas_users, _blas_saved
     with _blas_lock:
@@ -199,7 +198,7 @@ def _check_system(sys: SparseSystem):
 
 
 def _shifted_solver(sys: SparseSystem):
-    """b -> (A - shift M)^-1 b through one banded factor; b may hold columns."""
+    """b -> (A - shift M)^-1 b through one banded factor."""
     factor = (_factor_shifted(sys), False)
 
     def solve(b):
@@ -257,7 +256,9 @@ def _converge(step, tol: float, max_iter: int) -> EigenPair:
 
 
 @_one_blas_thread()
-def _iterate(sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int) -> EigenPair:
+def _iterate(
+    sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int, deflate=None
+) -> EigenPair:
     """Single-vector LOBPCG: a Rayleigh-Ritz step on [x, T r, p] per step.
 
     T is the system's preconditioner, or (A - shift M)^-1 through a banded
@@ -267,11 +268,22 @@ def _iterate(sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int) -> Ei
     is not positive definite (1- and 2-dof systems, converged iterates), p
     and then w are dropped.  A x and M x are recomputed for every iterate,
     so the residual is that of x itself; A p and M p are carried along.
+
+    With ``deflate`` (an M-normalized vector u1) the start, every w and every
+    new iterate are M-projected against u1, so the loop runs in the
+    M-complement of u1; without it the projection is the identity.
     """
     A, M = sys.A, sys.M
     precondition = sys.precondition or _shifted_solver(sys)
     X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
     rows = 2  # x and w; p joins after the first step
+    Mu = None if deflate is None else M @ deflate
+
+    def project(v):
+        if deflate is not None:
+            for _ in range(2):  # one pass leaves rounding of the size u1 had in v
+                v = v - deflate * (Mu @ v)
+        return v
 
     def accept(v):
         """M-normalize v into row 0; its Rayleigh quotient and residual."""
@@ -284,11 +296,11 @@ def _iterate(sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int) -> Ei
         lam = float(X[0] @ AX[0])
         return lam, AX[0] - lam * MX[0]
 
-    lam, r = accept(x0)
+    lam, r = accept(project(x0))
 
     def step():
         nonlocal lam, r, rows
-        X[1] = precondition(r)
+        X[1] = project(precondition(r))
         AX[1], MX[1] = A @ X[1], M @ X[1]
         scale = np.einsum("ij,ij->i", X[1:rows], MX[1:rows])
         scale = (np.where(scale > 0.0, scale, 1.0) ** -0.5)[:, None]
@@ -308,53 +320,9 @@ def _iterate(sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int) -> Ei
         for Z in (X, AX, MX):
             Z[2] = c[1:] @ Z[1:k]
         v += X[2]
-        lam, r = accept(v)
+        lam, r = accept(project(v))
         rows = 3 if k > 1 else 2
         return lam, X[0].copy(), float(np.linalg.norm(r) / np.linalg.norm(X[0]))
-
-    return _converge(step, tol, max_iter)
-
-
-# Vectors in the lambda2 block.  The Ritz value converges like
-# ((lambda2 - sigma) / (lambda_{2+_BLOCK} - sigma))^2 per step.  Over 8 samples
-# of qmc-analytic at m = 32 (one BLAS thread), blocks of 2, 3, 5, 6 and 8 took
-# 109, 91, 78, 86 and 79 ms against 69 ms for 4.
-_BLOCK = 4
-
-
-@_one_blas_thread()
-def _block_iterate(
-    sys: SparseSystem, u1: np.ndarray, X0: np.ndarray, tol: float, max_iter: int
-) -> EigenPair:
-    """Block inverse iteration M-orthogonal to u1, with Rayleigh-Ritz per step.
-
-    Every step solves for all columns at once, projects out u1 twice and
-    takes the Ritz pairs of the block; the lowest one is the iterate.
-    """
-    A, M = sys.A, sys.M
-    solve = _shifted_solver(sys)
-    Mu1 = M @ u1
-    MX = M @ X0
-
-    def step():
-        nonlocal MX
-        Z = solve(MX)
-        for _ in range(2):  # one pass leaves rounding of the size u1 had in Z
-            Z -= np.outer(u1, Mu1 @ Z)
-        AZ = A @ Z
-        MZ = M @ Z
-        try:  # eigh reads the lower triangles of the two Gram matrices
-            theta, C = sla.eigh(Z.T @ AZ, Z.T @ MZ, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise EigenSolveError(f"block iterate collapsed ({exc})") from exc
-        MX = MZ @ C
-        c = C[:, 0]
-        lam = float(theta[0])
-        x = Z @ c
-        rvec = AZ @ c - lam * MX[:, 0]
-        rvec -= Mu1 * (u1 @ rvec)
-        res = float(np.linalg.norm(rvec) / np.linalg.norm(x))
-        return lam, x, res
 
     return _converge(step, tol, max_iter)
 
@@ -389,13 +357,14 @@ def second_eigenpair(
     tol: float = 1e-14,
     max_iter: int = 10000,
 ) -> EigenPair:
-    """Second-smallest eigenpair by block subspace iteration against ``first``.
+    """Second-smallest eigenpair: the LOBPCG loop deflated against ``first``.
 
-    Iterates a block of up to ``_BLOCK`` vectors (at most n_dof - 1) held
-    M-orthogonal to ``first.vector`` and returns the lowest Ritz pair, so a
-    lambda2 close to or equal to lambda3 converges at the rate of the gap
-    to the first eigenvalue beyond the block.  ``iterations`` counts block
-    steps; the residual is measured in the deflated subspace.
+    Runs the lambda1 iteration with the system's own T from a fixed start;
+    the start, every preconditioned residual and every iterate are
+    M-projected twice against ``first.vector``, so it converges to the
+    lowest eigenpair of the M-complement of u1.  Where lambda2 equals
+    lambda3 the vector is one of their shared eigenspace.  ``iterations``
+    counts LOBPCG steps.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -404,9 +373,8 @@ def second_eigenpair(
     if n < 2:
         raise EigenSolveError("a one-dof system has no second eigenpair")
     # deterministic start with no mesh symmetry, so all eigencomponents are hit
-    freqs = 1.2345 * np.arange(1, min(_BLOCK, n - 1) + 1)
-    X0 = np.cos(np.outer(np.arange(n), freqs)) + 0.5
-    pair = _block_iterate(sys, first.vector, X0, tol, max_iter)
+    x0 = np.cos(1.2345 * np.arange(n)) + 0.5
+    pair = _iterate(sys, x0, tol, max_iter, deflate=first.vector)
     if pair.value <= first.value * (1.0 + 1e-12):
         raise EigenSolveError(
             f"second eigenvalue {pair.value} did not separate from {first.value}",
@@ -426,9 +394,9 @@ def estimate_gap(
 
     Solves both eigenpairs at every sample, to the same relative ``tol``;
     the result is an upper estimate of the true uniform gap.  lambda2 comes
-    from the block iteration of ``second_eigenpair``, which converges as
-    fast where lambda2 and lambda3 nearly or exactly coincide.  Solver
-    failures are re-raised with the index of the offending sample attached.
+    from ``second_eigenpair``, the lambda1 loop deflated against u1, so no
+    sample factors anything.  Solver failures are re-raised with the index
+    of the offending sample attached.
     """
     samples = list(y_samples)
     if not samples:

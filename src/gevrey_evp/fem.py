@@ -99,10 +99,10 @@ class SparseSystem:
 
     ``shift`` is a certified strict lower bound on the smallest eigenvalue;
     systems built by hand keep 0.  ``precondition`` maps a residual vector to
-    a search direction for the lambda1 solver, approximately (A - shift M)^-1
+    a search direction for the eigensolver, approximately (A - shift M)^-1
     applied to it; systems built by hand keep None, and the solver then uses
     the exact inverse through a banded factor of A - shift M.  ``start`` is
-    the first iterate of that solver, close to the first eigenvector; None
+    the first iterate of a lambda1 solve, close to the first eigenvector; None
     starts it from the all-ones vector.
     """
 

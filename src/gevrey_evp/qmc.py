@@ -343,7 +343,8 @@ def qmc_estimate(
                 total += F(y)
             except EigenSolveError as exc:
                 raise EigenSolveError(
-                    f"integrand failed at shift {r}, point {i + 1}: {exc}"
+                    f"integrand failed at shift {r}, point {i + 1} (y={y!r}): {exc}",
+                    last=exc.last,
                 ) from exc
         per_shift[r] = total / rule.n
     return float(per_shift.mean()), per_shift
@@ -359,13 +360,21 @@ def mc_estimate(
     """Plain Monte Carlo average of F over uniform points on [-1/2, 1/2]^s.
 
     Sample i draws from the counter-based stream (seed, stream_offset + i),
-    so output is bitwise reproducible for a fixed seed.
+    so output is bitwise reproducible for a fixed seed.  Integrand failures
+    are re-raised with the sample index, its stream and y attached.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    values = np.array(
-        [F(prng_stream(seed, stream_offset + i).random(s) - 0.5) for i in range(n)]
-    )
+    values = np.empty(n)
+    for i in range(n):
+        y = prng_stream(seed, stream_offset + i).random(s) - 0.5
+        try:
+            values[i] = F(y)
+        except EigenSolveError as exc:
+            raise EigenSolveError(
+                f"integrand failed at sample {i}, stream ({seed}, {stream_offset + i}) "
+                f"(y={y!r}): {exc}", last=exc.last,
+            ) from exc
     return float(values.mean()), values
 
 

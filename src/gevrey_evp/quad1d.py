@@ -131,7 +131,9 @@ def gl_study(
             try:
                 cache[key] = f(float(x))
             except EigenSolveError as exc:
-                raise EigenSolveError(f"eigensolve failed at node t={x}: {exc}") from exc
+                raise EigenSolveError(
+                    f"eigensolve failed at node t={x}: {exc}", last=exc.last
+                ) from exc
 
     def apply(rule: GaussRule) -> float:
         vals = np.array([cache[np.float64(x).tobytes()] for x in rule.nodes])

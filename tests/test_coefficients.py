@@ -5,6 +5,7 @@ import pytest
 
 from gevrey_evp.coefficients import (
     CHI1,
+    MODEL_NAMES,
     BoundConstants,
     CoefficientModel,
     bound_constants,
@@ -111,6 +112,13 @@ class TestModels:
             model_by_name("qmc-analytic").pad_y([0.0, 0.6])
         with pytest.raises(ValueError, match="at most 100 parameters"):
             model_by_name("qmc-analytic").pad_y(np.zeros(101))
+        custom = CoefficientModel(
+            "custom", {"indices": [1, 3], "amplitudes": [0.5, 0.25], "base": 2.0})
+        for model in [model_by_name(name) for name in MODEL_NAMES] + [custom]:
+            # abs(nan) > halfwidth is False, so the box test alone lets NaN in
+            for bad in ([np.nan], [0.0, np.inf], [-np.inf]):
+                with pytest.raises(ValueError, match="must be finite"):
+                    model.pad_y(bad)
         with pytest.raises(ValueError):
             model_by_name("no-such-model")
 

@@ -183,22 +183,31 @@ class TestSinePreconditioner:
             points = corners + [rng.uniform(-h, h, corners[0].size) for _ in range(3)]
             for y in points:
                 sysm = asm.system(y)
-                sine = smallest_eigenpair(sysm).value
-                banded = smallest_eigenpair(replace(sysm, precondition=None)).value
+                hand = replace(sysm, precondition=None)
+                sine = smallest_eigenpair(sysm)
+                banded = smallest_eigenpair(hand).value
                 ones = eigensolver._iterate(sysm, np.ones(sysm.n_dof), 1e-14, 10000).value
-                dense = _dense_eigenvalues(sysm, 1)[0]
-                assert abs(sine - banded) <= 1e-13 * banded
-                assert abs(sine - ones) <= 1e-13 * ones
-                assert abs(sine - dense) <= 1e-10 * dense
+                dense = _dense_eigenvalues(sysm, 2)
+                assert abs(sine.value - banded) <= 1e-13 * banded
+                assert abs(sine.value - ones) <= 1e-13 * ones
+                assert abs(sine.value - dense[0]) <= 1e-10 * dense[0]
+                # lambda2, deflated against the same u1, by both T
+                sine2 = second_eigenpair(sysm, sine).value
+                banded2 = second_eigenpair(hand, sine).value
+                assert abs(sine2 - banded2) <= 1e-13 * banded2
+                assert abs(sine2 - dense[1]) <= 1e-10 * dense[1]
 
     def test_iterations_flat_in_m(self):
         # spectral equivalence bounds the count independently of h; gl-analytic
-        # has the widest contrast, a_hi / a_lo = 3
+        # has the widest contrast, a_hi / a_lo = 3; lambda2 runs the same T
         model = model_by_name("gl-analytic")
         for m in (16, 64):
             asm = Assembler(build_mesh(m), model)
             for y in ([-1.0], [0.0], [1.0]):
-                assert smallest_eigenpair(asm.system(y)).iterations <= 12
+                sysm = asm.system(y)
+                p1 = smallest_eigenpair(sysm)
+                assert p1.iterations <= 12
+                assert second_eigenpair(sysm, p1).iterations <= 32
 
     @pytest.mark.parametrize("name", ["gl-gevrey3", "gl-analytic"])
     def test_mode_start_saves_steps(self, name):
@@ -248,12 +257,12 @@ class TestSinePreconditioner:
         smallest_eigenpair(system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3)))
         assert calls == [3]
 
-    def test_gap_factors_once_per_sample(self, monkeypatch):
-        # only lambda2 still factors A - sigma M
+    def test_gap_factors_nothing(self, monkeypatch):
+        # lambda2 runs the sine T too, deflated against u1
         calls = self._factor_calls(monkeypatch)
         samples = np.random.default_rng(5).random((8, 20)) - 0.5
         estimate_gap(model_by_name("qmc-analytic"), 8, samples)
-        assert len(calls) == 8
+        assert calls == []
 
 
 def _dense_eigenvalues(sysm, count):
@@ -286,15 +295,9 @@ class TestBlockSecond:
         assert abs(rep.lambda1 - w[0]) <= 1e-10 * w[0]
         assert abs(rep.lambda2 - w[1]) <= 1e-10 * w[1]
 
-    def test_two_dof_block_is_one_vector(self, monkeypatch):
-        blocks = []
-        block_iterate = eigensolver._block_iterate
-        monkeypatch.setattr(eigensolver, "_block_iterate",
-                            lambda sys, u1, X0, *rest: blocks.append(X0.shape)
-                            or block_iterate(sys, u1, X0, *rest))
+    def test_two_dof_second(self):
         sysm = system_from_dense(np.diag([1.0, 3.0]), np.eye(2))
         p2 = second_eigenpair(sysm, smallest_eigenpair(sysm))
-        assert blocks == [(2, 1)]
         assert p2.value == pytest.approx(3.0, rel=1e-13)
 
     def test_one_dof_has_no_second(self):
@@ -367,6 +370,14 @@ class TestGap:
         rep = estimate_gap(model_by_name("gl-analytic"), 16, ys)
         assert 0.0 < rep.gap < 1.0
         assert 0.0 < rep.lambda1 < rep.lambda2
+
+    def test_failure_names_the_sample(self):
+        samples = [[0.25], [-0.5]]
+        with pytest.raises(EigenSolveError) as err:
+            estimate_gap(model_by_name("gl-analytic"), 8, samples, max_iter=2)
+        assert str(err.value).startswith(
+            "sample 0 (y=[0.25]): no convergence after 2 iterations")
+        assert err.value.last.iterations == 2
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

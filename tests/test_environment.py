@@ -40,3 +40,26 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path):
              tmp_path, OPENBLAS_NUM_THREADS=threads)
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_bench_probe_installs(tmp_path):
+    # the benchmark wraps the solvers and studies by name and reads the `sys`
+    # argument of kept lambda1 calls; a rename fails here, not in a bench run
+    out = _run(f"""
+import importlib.util, inspect
+from gevrey_evp import coefficients, eigensolver, fem, qmc, quad1d
+spec = importlib.util.spec_from_file_location("probe", {str(ROOT / "bench" / "probe.py")!r})
+probe = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(probe)
+first = next(iter(inspect.signature(eigensolver.smallest_eigenpair).parameters))
+assert first == "sys", first
+owners = (eigensolver, qmc, quad1d, fem.Assembler, coefficients.CoefficientModel)
+before = [dict(vars(o)) for o in owners]
+for traced in (False, True):
+    p = probe.Probe(traced, frozenset())
+    p.install()
+    p.uninstall()
+    assert [dict(vars(o)) for o in owners] == before
+print("ok")
+""", tmp_path)
+    assert out.strip() == "ok"

@@ -256,6 +256,9 @@ class TestCli:
     def test_validation_exit_code(self, tmp_path, capsys):
         assert main(["gl-study", "--model", "not-a-model"]) == 1
         assert main(["solve-evp", "--model", "gl-analytic", "--m", "1"]) == 1
+        # a NaN parameter is bad input, not a numerical failure (exit 2)
+        assert main(["solve-evp", "--model", "qmc-analytic", "--m", "8", "--y", "nan"]) == 1
+        assert "must be finite" in capsys.readouterr().err
         # a value that does not parse is a validation error too, not exit 2
         assert main(["solve-evp", "--model", "gl-analytic", "--m", "abc"]) == 1
         assert "config error: flag --m: " in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gevrey_evp.coefficients import model_by_name, zeta
+from gevrey_evp.eigensolver import EigenPair, EigenSolveError
 from gevrey_evp.qmc import (
     LatticeRule,
     PODWeights,
@@ -18,6 +19,7 @@ from gevrey_evp.qmc import (
     mc_study,
     parse_beta_rule,
     pod_weight,
+    prng_stream,
     qmc_estimate,
     rmse_study,
     save_vector,
@@ -243,6 +245,33 @@ class TestEstimates:
         n = 100_000
         mean, _ = mc_estimate(lambda y: y[0], 1, n, seed=2024)
         assert abs(mean) <= 5.0 / math.sqrt(12.0 * n)
+
+    def test_failures_name_the_point(self):
+        last = EigenPair(1.0, np.ones(1), 1.0, 3)
+
+        def fail_at(k):
+            calls = []
+
+            def F(y):
+                calls.append(y)
+                if len(calls) > k:
+                    raise EigenSolveError("stub failure", last=last)
+                return 1.0
+            return F
+
+        rule = make_lattice_rule(2, 8, z=[1, 3], R=2, master_seed=5)
+        with pytest.raises(EigenSolveError) as err:
+            qmc_estimate(fail_at(10), rule)  # the third point of shift 1
+        y = lattice_points(rule, 1)[2]
+        assert str(err.value) == (
+            f"integrand failed at shift 1, point 3 (y={y!r}): stub failure")
+        assert err.value.last is last
+        with pytest.raises(EigenSolveError) as err:
+            mc_estimate(fail_at(2), 3, 10, seed=9, stream_offset=4)
+        y = prng_stream(9, 6).random(3) - 0.5
+        assert str(err.value) == (
+            f"integrand failed at sample 2, stream (9, 6) (y={y!r}): stub failure")
+        assert err.value.last is last
 
     def test_shift_streams_reproducible(self):
         r1 = make_lattice_rule(3, 8, z=[1, 3, 5], R=4, master_seed=42)

@@ -6,6 +6,7 @@ import pytest
 from gevrey_evp import quad1d
 from gevrey_evp.cli import main
 from gevrey_evp.coefficients import model_by_name
+from gevrey_evp.eigensolver import EigenPair, EigenSolveError
 from gevrey_evp.quad1d import gauss_legendre, gl_study
 from support import read_csv
 
@@ -118,6 +119,21 @@ class TestGlStudy:
         gl_study(model_by_name("qmc-analytic"), 4, [2], 3)
         nodes = np.concatenate([gauss_legendre(n).nodes for n in (2, 3)])
         assert fake.ys == [0.5 * t for t in nodes]
+
+    def test_failure_names_the_node(self, monkeypatch):
+        last = EigenPair(1.0, np.ones(1), 1.0, 3)
+
+        def g(y):
+            if y > 0.0:
+                raise EigenSolveError("stub failure", last=last)
+            return 1.0
+
+        FakeAxis(monkeypatch, g)
+        with pytest.raises(EigenSolveError) as err:
+            gl_study(model_by_name("constant"), 4, [2], 3)
+        t = gauss_legendre(2).nodes[1]
+        assert str(err.value) == f"eigensolve failed at node t={t}: stub failure"
+        assert err.value.last is last
 
     def test_half_width_model_matches_cli(self, tmp_path, capsys):
         model = model_by_name("qmc-analytic")
