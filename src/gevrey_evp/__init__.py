@@ -65,7 +65,6 @@ from .qmc import (
     make_lattice_rule,
     mc_estimate,
     mc_study,
-    pod_weight,
     qmc_estimate,
     rmse_study,
     truncation_study,

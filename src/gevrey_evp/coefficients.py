@@ -230,10 +230,6 @@ class CoefficientModel:
             return np.full(cache["shape"], self.params["a"])
         raise AssertionError(kind)
 
-    def a(self, x1, x2, y) -> np.ndarray:
-        """Diffusion field at points (x1, x2) for parameter vector y."""
-        return self.a_cached(self.precompute(x1, x2), y)
-
     def b(self, x1, x2, y) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
         self.pad_y(y)

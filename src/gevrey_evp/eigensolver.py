@@ -4,16 +4,11 @@ Solves A u = lambda M u for symmetric positive definite sparse A, M.  The
 smallest pair comes from single-vector LOBPCG (Knyazev, SIAM J. Sci.
 Comput. 23, 2001): every step takes the Rayleigh-Ritz pair of the basis
 [x, T r, p], with r the residual of the iterate x and p the last step's
-direction.  T is one of two preconditioners:
-
-- a mesh system (``fem.Assembler``) carries its own in
-  ``SparseSystem.precondition``: a fast-sine solve spectrally equivalent to
-  (A - sigma M)^-1, four dense GEMMs of order m - 1 and no factorisation;
-- a system built by hand has none, and T = (A - sigma M)^-1 through a banded
-  factor, which makes the loop shift-invert iteration with Ritz acceleration.
-
-The start is ``SparseSystem.start``, the lowest sine mode scaled by
-diag(A)^-1/2 on a mesh system, or else the all-ones vector.
+direction.  T and the start are the system's own,
+``SparseSystem.precondition`` and ``SparseSystem.start``: on a mesh system
+(``fem.Assembler``) a fast-sine solve spectrally equivalent to
+(A - sigma M)^-1, four dense GEMMs of order m - 1, and the lowest sine mode
+scaled by diag(A)^-1/2.  The solver factors nothing.
 
 The second pair comes from the same loop, deflated: its start, every T r
 and every iterate are M-projected against the first eigenvector, so it
@@ -27,9 +22,7 @@ Both tests are relative, so they mean the same at any eigenvalue scale.
 ``EigenPair.exit_reason`` names the exit that accepted a pair.
 
 The shift is the system's certified lower bound sigma on lambda1
-(``SparseSystem.shift``).  Only a hand-built system factors A - sigma M,
-once per solve, by a banded Cholesky decomposition (LAPACK dpbtrf); a
-failed factorisation, or a lambda1 not above sigma, raises
+(``SparseSystem.shift``); a lambda1 not above sigma raises
 ``EigenSolveError`` naming sigma.  Each solve holds OpenBLAS at one thread
 while it runs, so that the rounding of its dot products and GEMMs does not
 depend on the thread count.
@@ -133,13 +126,10 @@ def _one_blas_thread():
 
     One thread keeps the rounding of the dot products and the preconditioner's
     GEMMs, and so the results, independent of the thread count: at m = 128
-    the CSV bytes differ between one and two threads without it.  It also
-    spares the banded factor of hand-built systems, which is far too small to
-    gain from threads (dpbtrf took 9.3 ms a call at m = 32 with one thread
-    per core on 2 cores, against about 0.5 ms with one).  The library runs
-    its solves one after another, but callers may overlap solves from
-    threads of their own, so the previous counts come back when the last
-    one leaves.
+    the CSV bytes differ between one and two threads without it.  The library
+    runs its solves one after another, but callers may overlap solves from
+    threads of their own, so the previous counts come back when the last one
+    leaves.
     """
     global _blas_users, _blas_saved
     with _blas_lock:
@@ -158,53 +148,14 @@ def _one_blas_thread():
                     put(n)
 
 
-def _factor_shifted(sys: SparseSystem):
-    """Banded Cholesky factor of A - shift M (LAPACK dpbtrf), upper form.
-
-    The bandwidth is read from the matrices.  A failed factorisation means
-    A - shift M is not positive definite, i.e. lambda1 <= shift.
-    """
-    n = sys.n_dof
-    rows, cols, vals = [], [], []
-    for mat, scale in ((sys.A, 1.0), (sys.M, -sys.shift)):
-        rows.append(np.repeat(np.arange(n), np.diff(mat.indptr)))
-        cols.append(mat.indices)
-        vals.append(scale * mat.data)
-    rows, cols, vals = (np.concatenate(v) for v in (rows, cols, vals))
-    upper = cols >= rows
-    rows, cols, vals = rows[upper], cols[upper], vals[upper]
-    u = int((cols - rows).max())
-    # entry (i, j) of the upper band sits at ab[u + i - j, j]; bincount sums
-    # duplicates, and Fortran order lets LAPACK factor ab in place
-    ab = np.bincount(
-        (u + rows - cols) + (u + 1) * cols, weights=vals, minlength=(u + 1) * n
-    ).reshape((u + 1, n), order="F")
-    try:
-        return sla.cholesky_banded(ab, overwrite_ab=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolveError(
-            f"A - sigma M is not positive definite at sigma = {sys.shift!r}, "
-            f"so lambda1 <= sigma, against the certified bound ({exc})"
-        ) from exc
-
-
 def _check_system(sys: SparseSystem):
+    if sys.M.shape != sys.A.shape or sys.A.shape[0] != sys.A.shape[1]:
+        raise EigenSolveError(
+            f"M has shape {sys.M.shape} and A {sys.A.shape}, expected one square shape")
     for name, mat in (("A", sys.A), ("M", sys.M)):
-        if mat.shape != (sys.n_dof, sys.n_dof):
-            raise EigenSolveError(f"{name} has shape {mat.shape}, expected square")
         d = mat.diagonal()
         if d.size == 0 or np.any(d <= 0) or not np.all(np.isfinite(mat.data)):
             raise EigenSolveError(f"{name} is not usable (nonpositive diagonal or NaN)")
-
-
-def _shifted_solver(sys: SparseSystem):
-    """b -> (A - shift M)^-1 b through one banded factor."""
-    factor = (_factor_shifted(sys), False)
-
-    def solve(b):
-        return sla.cho_solve_banded(factor, b, overwrite_b=True, check_finite=False)
-
-    return solve
 
 
 def _converge(step, tol: float, max_iter: int) -> EigenPair:
@@ -261,20 +212,19 @@ def _iterate(
 ) -> EigenPair:
     """Single-vector LOBPCG: a Rayleigh-Ritz step on [x, T r, p] per step.
 
-    T is the system's preconditioner, or (A - shift M)^-1 through a banded
-    factor where it has none.  The rows of X hold the basis x, w = T r and
-    the previous direction p, with their products by A and M in AX and MX;
-    w and p are scaled to unit M-norm.  Where the M-Gram matrix of the basis
-    is not positive definite (1- and 2-dof systems, converged iterates), p
-    and then w are dropped.  A x and M x are recomputed for every iterate,
-    so the residual is that of x itself; A p and M p are carried along.
+    T is the system's preconditioner.  The rows of X hold the basis x,
+    w = T r and the previous direction p, with their products by A and M in
+    AX and MX; w and p are scaled to unit M-norm.  Where the M-Gram matrix
+    of the basis is not positive definite (1- and 2-dof systems, converged
+    iterates), p and then w are dropped.  A x and M x are recomputed for
+    every iterate, so the residual is that of x itself; A p and M p are
+    carried along.
 
     With ``deflate`` (an M-normalized vector u1) the start, every w and every
     new iterate are M-projected against u1, so the loop runs in the
     M-complement of u1; without it the projection is the identity.
     """
-    A, M = sys.A, sys.M
-    precondition = sys.precondition or _shifted_solver(sys)
+    A, M, precondition = sys.A, sys.M, sys.precondition
     X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
     rows = 2  # x and w; p joins after the first step
     Mu = None if deflate is None else M @ deflate
@@ -332,18 +282,15 @@ def smallest_eigenpair(
 ) -> EigenPair:
     """Smallest eigenpair of A u = lambda M u by preconditioned LOBPCG.
 
-    Starts from ``sys.start``, or from the all-ones vector where the system
-    has none; the eigenvector is returned M-normalized.  Raises
-    ``EigenSolveError`` when the eigenvalue found is not above the system's
-    certified shift.
+    Starts from ``sys.start``; the eigenvector is returned M-normalized.
+    Raises ``EigenSolveError`` when the eigenvalue found is not above the
+    system's certified shift.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     _check_system(sys)
-    x0 = np.ones(sys.n_dof) if sys.start is None else sys.start
-    pair = _iterate(sys, x0, tol, max_iter)
+    pair = _iterate(sys, sys.start, tol, max_iter)
     if pair.value <= sys.shift:
-        # mesh systems never factor A - sigma M, which would have caught this
         raise EigenSolveError(
             f"lambda1 = {pair.value!r} is not above sigma = {sys.shift!r}, "
             "against the certified bound", last=pair,
@@ -394,8 +341,8 @@ def estimate_gap(
 
     Solves both eigenpairs at every sample, to the same relative ``tol``;
     the result is an upper estimate of the true uniform gap.  lambda2 comes
-    from ``second_eigenpair``, the lambda1 loop deflated against u1, so no
-    sample factors anything.  Solver failures are re-raised with the index
+    from ``second_eigenpair``, the lambda1 loop deflated against u1.  Solver
+    failures are re-raised with the index
     of the offending sample attached.
     """
     samples = list(y_samples)

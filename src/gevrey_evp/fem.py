@@ -97,21 +97,24 @@ def build_mesh(m: int) -> Mesh:
 class SparseSystem:
     """Stiffness-plus-reaction matrix A and weighted mass matrix M (CSR).
 
-    ``shift`` is a certified strict lower bound on the smallest eigenvalue;
-    systems built by hand keep 0.  ``precondition`` maps a residual vector to
-    a search direction for the eigensolver, approximately (A - shift M)^-1
-    applied to it; systems built by hand keep None, and the solver then uses
-    the exact inverse through a banded factor of A - shift M.  ``start`` is
-    the first iterate of a lambda1 solve, close to the first eigenvector; None
-    starts it from the all-ones vector.
+    The rest is what the eigensolver needs and cannot derive: ``shift``, a
+    certified strict lower bound sigma on the smallest eigenvalue;
+    ``precondition``, a map from a residual vector to a search direction,
+    approximately (A - sigma M)^-1 applied to it; and ``start``, the first
+    iterate of a lambda1 solve, close to the first eigenvector.
+    ``Assembler.system`` supplies all three; a system built by other means
+    supplies its own.
     """
 
     A: sp.csr_matrix
     M: sp.csr_matrix
-    n_dof: int
-    shift: float = 0.0
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None
-    start: np.ndarray | None = None
+    shift: float
+    precondition: Callable[[np.ndarray], np.ndarray]
+    start: np.ndarray
+
+    @property
+    def n_dof(self) -> int:
+        return self.A.shape[0]
 
 
 def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
@@ -240,7 +243,7 @@ class Assembler:
         d = (0.25 * A.diagonal()).reshape(k, k) ** -0.5
         denom = self._sine_spectrum - self._mass_shift / a_mean.mean()
         T = _sine_preconditioner(self._sine, denom, d)
-        return SparseSystem(A, self._M, n, self._shift, T, (d * self._mode).ravel())
+        return SparseSystem(A, self._M, self._shift, T, (d * self._mode).ravel())
 
 
 def assemble(mesh: Mesh, model: CoefficientModel, y) -> SparseSystem:

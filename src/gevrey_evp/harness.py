@@ -106,9 +106,9 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
     "trunc-study": {
         "model": _Field("str", None, _model_name),
         "m": _Field("int", 32, _at_least("m", 2)),
-        "s_list": _Field("intlist", (1, 2, 4, 8), lambda v: None
-                         if v and list(v) == sorted(v)
-                         else "s_list must be nonempty ascending"),
+        "s_list": _Field("intlist", (1, 2, 4, 8), lambda v: (
+            "s_list must be nonempty ascending" if not v or list(v) != sorted(v)
+            else f"s_list entries must be >= 0, got {v[0]}" if v[0] < 0 else None)),
         "ref_s": _Field("int", 16, _at_least("ref_s", 2)),
         "level": _Field("int", 10, _at_least("level", 1)),
         "shifts": _Field("int", 8, _at_least("shifts", 1)),

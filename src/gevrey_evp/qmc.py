@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -38,7 +38,6 @@ __all__ = [
     "bernoulli_zeta_factor",
     "bernoulli2",
     "PODWeights",
-    "pod_weight",
     "parse_beta_rule",
     "cbc_construct",
     "LatticeRule",
@@ -126,26 +125,6 @@ class PODWeights:
     def product_factor(self, j: int) -> float:
         """(beta_j / sqrt(phi))^(2/(1+theta)) for 1-based coordinate j."""
         return (self.beta[j - 1] / math.sqrt(self.phi())) ** self.exponent()
-
-
-def pod_weight(w: PODWeights, u: Iterable[int]) -> float:
-    """Weight gamma_u of a subset u of {1..s}; gamma_empty = 1."""
-    u = sorted(set(int(j) for j in u))
-    if any(j < 1 or j > w.s for j in u):
-        raise ValueError(f"subset {u} not contained in 1..{w.s}")
-    ell = len(u)
-    if ell == 0:
-        return 1.0
-    if ell <= 20:
-        prod = float(math.factorial(ell)) ** w.delta
-        root_phi = math.sqrt(w.phi())
-        for j in u:
-            prod *= w.beta[j - 1] / root_phi
-        return prod ** w.exponent()
-    log_gamma = w.delta * math.lgamma(ell + 1)
-    log_gamma += sum(math.log(w.beta[j - 1]) for j in u)
-    log_gamma -= 0.5 * ell * math.log(w.phi())
-    return math.exp(w.exponent() * log_gamma)
 
 
 _BETA_RULE = re.compile(r"^\s*(?:([0-9.eE+-]+)\s*\*\s*)?j\^(-?[0-9.eE+]+)\s*$")
@@ -545,6 +524,8 @@ def truncation_study(
     s_list = [int(s) for s in s_list]
     if not s_list or sorted(s_list) != s_list:
         raise ValueError("s_list must be nonempty and ascending")
+    if s_list[0] < 0:
+        raise ValueError(f"s_list entries must be >= 0, got {s_list[0]}")
     if max(s_list) >= rule.s:
         raise ValueError("reference rule dimension must exceed max(s_list)")
     lam = _lambda1_map(model, m, tol)

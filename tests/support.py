@@ -1,19 +1,28 @@
 """Shared helpers for the test suite."""
 
+import math
 from itertools import combinations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from gevrey_evp import fem
 from gevrey_evp.fem import Mesh, SparseSystem
-from gevrey_evp.qmc import PODWeights, bernoulli2, pod_weight
+from gevrey_evp.qmc import PODWeights, bernoulli2
+
+
+def shift_invert(A, M, shift):
+    """r -> (A - shift M)^-1 r through a dense LU factor: the exact T."""
+    lu = sla.lu_factor((A - shift * M).toarray())
+    return lambda r: sla.lu_solve(lu, r)
 
 
 def system_from_dense(A, M):
-    A = np.asarray(A, dtype=float)
-    M = np.asarray(M, dtype=float)
-    return SparseSystem(sp.csr_matrix(A), sp.csr_matrix(M), A.shape[0])
+    """The system of dense A, M: shift 0, exact shift-invert T, ones start."""
+    A = sp.csr_matrix(np.asarray(A, dtype=float))
+    M = sp.csr_matrix(np.asarray(M, dtype=float))
+    return SparseSystem(A, M, 0.0, shift_invert(A, M, 0.0), np.ones(A.shape[0]))
 
 
 def random_spd_pair(rng, n):
@@ -110,6 +119,26 @@ def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr
         (np.concatenate(val), (np.concatenate(pos), np.concatenate(col))),
         shape=(keys.size, 2 * n_cells),
     )
+
+
+def pod_weight(w: PODWeights, u) -> float:
+    """Weight gamma_u of a subset u of {1..s}; gamma_empty = 1."""
+    u = sorted(set(int(j) for j in u))
+    if any(j < 1 or j > w.s for j in u):
+        raise ValueError(f"subset {u} not contained in 1..{w.s}")
+    ell = len(u)
+    if ell == 0:
+        return 1.0
+    if ell <= 20:
+        prod = float(math.factorial(ell)) ** w.delta
+        root_phi = math.sqrt(w.phi())
+        for j in u:
+            prod *= w.beta[j - 1] / root_phi
+        return prod ** w.exponent()
+    log_gamma = w.delta * math.lgamma(ell + 1)
+    log_gamma += sum(math.log(w.beta[j - 1]) for j in u)
+    log_gamma -= 0.5 * ell * math.log(w.phi())
+    return math.exp(w.exponent() * log_gamma)
 
 
 def worst_case_error_sq(z, n: int, w: PODWeights) -> float:

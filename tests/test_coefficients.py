@@ -73,8 +73,9 @@ class TestModels:
         x2 = np.linspace(0.1, 0.9, 7)
         y5 = np.array([0.3, -0.2, 0.1, 0.05, -0.4])
         y100 = np.concatenate([y5, np.zeros(95)])
-        a5 = model.a(x1, x2, y5)
-        a100 = model.a(x1, x2, y100)
+        cache = model.precompute(x1, x2)
+        a5 = model.a_cached(cache, y5)
+        a100 = model.a_cached(cache, y100)
         assert np.array_equal(a5, a100)
 
     def test_bounds_hold_on_samples(self):
@@ -89,7 +90,7 @@ class TestModels:
                 y = (rng.random(dim) - 0.5) * 2 * model.param_halfwidth
                 if name == "gl-gevrey3":
                     y = np.maximum(y, -0.9999)
-                a = model.a(x1, x2, y)
+                a = model.a_cached(model.precompute(x1, x2), y)
                 assert np.all(a >= b.a_lo - 1e-12) and np.all(a <= b.a_hi + 1e-12)
                 assert np.all(model.b(x1, x2, y) >= b.b_lo - 1e-12)
                 c = model.c(x1, x2, y)
@@ -129,7 +130,7 @@ class TestModels:
         assert model.dim == 2
         assert model.bounds.a_lo == pytest.approx(2.0 - 0.375)
         x = np.array([0.5])
-        val = model.a(x, x, [0.5, 0.0])
+        val = model.a_cached(model.precompute(x, x), [0.5, 0.0])
         expect = 2.0 + 0.5 * math.sin(math.pi / 2) ** 2 * 0.5
         assert val[0] == pytest.approx(expect, rel=1e-14)
 

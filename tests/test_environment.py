@@ -30,7 +30,7 @@ def test_import_loads_no_heavy_scipy_modules(tmp_path):
 
 def test_csv_bytes_independent_of_blas_threads(tmp_path):
     # m = 128 runs the preconditioner's GEMMs at a size where threaded BLAS
-    # would split them, and the banded solves used to round differently
+    # would split them
     blobs = []
     for threads in ("1", "2"):
         out = tmp_path / f"gl_{threads}.csv"
@@ -43,14 +43,22 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_bench_probe_installs(tmp_path):
-    # the benchmark wraps the solvers and studies by name and reads the `sys`
-    # argument of kept lambda1 calls; a rename fails here, not in a bench run
+    # the benchmark wraps the solvers and studies by name, re-runs kept lambda1
+    # calls capped at one iteration and re-solves their `sys` with scipy; a
+    # rename or a system it cannot read fails here, not in a bench run
     out = _run(f"""
 import importlib.util, inspect
 from gevrey_evp import coefficients, eigensolver, fem, qmc, quad1d
-spec = importlib.util.spec_from_file_location("probe", {str(ROOT / "bench" / "probe.py")!r})
-probe = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(probe)
+
+bench = {str(ROOT / "bench")!r}
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, f"{{bench}}/{{name}}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+probe, workloads = load("probe"), load("workloads")
 first = next(iter(inspect.signature(eigensolver.smallest_eigenpair).parameters))
 assert first == "sys", first
 owners = (eigensolver, qmc, quad1d, fem.Assembler, coefficients.CoefficientModel)
@@ -60,6 +68,17 @@ for traced in (False, True):
     p.install()
     p.uninstall()
     assert [dict(vars(o)) for o in owners] == before
+p = probe.Probe(True, frozenset({{0}}))
+p.install()
+p.begin_study()
+model = coefficients.model_by_name("gl-analytic")
+eigensolver.smallest_eigenpair(fem.Assembler(fem.build_mesh(8), model).system([0.3]))
+p.end_study()
+metrics = probe.layer_metrics(p)
+p.uninstall()
+assert metrics["eigensolver.solves"] == (1, "count"), metrics
+assert metrics["eigensolver.fixed_ms"][0] > 0.0, metrics
+assert workloads.check_kept(p) == [], workloads.check_kept(p)
 print("ok")
 """, tmp_path)
     assert out.strip() == "ok"

@@ -93,9 +93,10 @@ class TestAssembly:
             assert np.array_equal(asm._M.data, M.data)
             assert np.array_equal(asm._b_data, scatter_blocks(mesh, blocks["b"]).data)
             search_map = stiffness_map(mesh, M.indptr, M.indices)
+            cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
             for _ in range(3):
                 y = (rng.random(min(model.dim, 20)) - 0.5) * model.param_halfwidth
-                a_mean = model.a(mesh.mid_x1, mesh.mid_x2, y).mean(axis=2)
+                a_mean = model.a_cached(cache, y).mean(axis=2)
                 ref = scatter_blocks(mesh, np.einsum("ot,opq->otpq", a_mean, g) + blocks["b"])
                 A = asm.system(y).A
                 assert np.array_equal(A.indptr, ref.indptr)

@@ -127,6 +127,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = 1,16\n")
         assert err.value.violations == ["ref_s = 16 must exceed max(s_list) = 16"]
+        with pytest.raises(ConfigError) as err:
+            parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = -1,2\n")
+        assert err.value.violations == ["line 3: s_list entries must be >= 0, got -1"]
+        assert parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = 0,2\n")[
+            "s_list"] == (0, 2)
 
 
 class TestFitRate:
@@ -264,6 +269,13 @@ class TestCli:
         assert "config error: flag --m: " in capsys.readouterr().err
         assert main(["gl-study", "--model", "gl-analytic", "--tol", "x"]) == 1
         assert "config error: flag --tol: " in capsys.readouterr().err
+        # a negative truncation dimension would zero only the last parameters
+        assert main(["trunc-study", "--model", "qmc-analytic", "--m", "4",
+                     "--s-list=-1,2", "--ref-s", "4", "--level", "3",
+                     "--shifts", "2", "--out", str(tmp_path / "t.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: flag --s-list: s_list entries must be >= 0, got -1\n")
+        assert not (tmp_path / "t.csv").exists()
         # usage errors are validation errors too: usage, message, exit 1
         for argv in (["cbc", "--no-such"], ["checks", "nonsense"],
                      ["gl-study", "--model", "gl-analytic", "--m"]):

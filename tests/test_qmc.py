@@ -18,14 +18,13 @@ from gevrey_evp.qmc import (
     mc_estimate,
     mc_study,
     parse_beta_rule,
-    pod_weight,
     prng_stream,
     qmc_estimate,
     rmse_study,
     save_vector,
     truncation_study,
 )
-from support import gather_scores, worst_case_error_sq
+from support import gather_scores, pod_weight, worst_case_error_sq
 
 
 class TestBernoulliZetaFactor:
@@ -329,6 +328,15 @@ class TestStudies:
         records = truncation_study(model, 4, [1, 2, 4], rule, tol=1e-12)
         assert records[0][1] <= 1e-13
         assert records[1][1] <= 1e-13
+
+    def test_truncation_rejects_negative_s(self):
+        # s = -1 would zero only the last parameter; s = 0 zeroes them all
+        model = model_by_name("qmc-analytic")
+        w = PODWeights(1.0, 0.6, np.ones(4))
+        rule = make_lattice_rule(4, 8, z=cbc_construct(4, 8, w), R=2, master_seed=5)
+        with pytest.raises(ValueError, match="s_list entries must be >= 0, got -1"):
+            truncation_study(model, 4, [-1, 2], rule)
+        assert [s for s, _ in truncation_study(model, 4, [0, 2], rule)] == [0, 2]
 
     def test_mc_study_records(self):
         records = mc_study(model_by_name("constant"), 4, 2, [4, 8], 3, 5, tol=1e-12)
