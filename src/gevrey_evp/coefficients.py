@@ -179,32 +179,28 @@ class CoefficientModel:
             arr = np.concatenate([arr, np.zeros(self.dim - arr.size)])
         return arr
 
-    def _sine_matrix(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """Series matrix S[point, j] = amp_j sin(j pi x1) sin(j pi x2)."""
-        if self.kind == "custom":
-            idx = self.params["indices"]
-            amp = self.params["amplitudes"]
-        else:
-            idx = np.arange(1, self.dim + 1)
-            amp = idx.astype(float) ** -5.0
-        jx = np.multiply.outer(x1.ravel(), idx * math.pi)
-        jy = np.multiply.outer(x2.ravel(), idx * math.pi)
-        return np.sin(jx) * np.sin(jy) * amp
-
     # -- field evaluation ----------------------------------------------------
 
     def precompute(self, x1, x2) -> dict:
         """Cache the y-independent part of the diffusion field at fixed points.
 
-        Repeated evaluation at many parameter vectors (quadrature nodes, QMC
-        points) then costs one small matrix-vector product per call instead
-        of rebuilding the sine tables.
+        For the series kinds: U1 = sin(pi u1 j) and U2 = sin(pi u2 j) on the
+        distinct values u1, u2 of x1 and x2 (no grid is assumed), and the flat
+        index of every point in the u1-by-u2 grid (see ``_series``).
         """
         x1 = np.asarray(x1, dtype=float)
         x2 = np.asarray(x2, dtype=float)
         cache: dict = {"shape": x1.shape}
         if self.kind in ("qmc-analytic", "qmc-gevrey2", "custom"):
-            cache["S"] = self._sine_matrix(x1, x2)
+            if self.kind == "custom":
+                idx, cache["amp"] = self.params["indices"], self.params["amplitudes"]
+            else:
+                idx = np.arange(1, self.dim + 1)
+                cache["amp"] = idx.astype(float) ** -5.0
+            u1, i1 = np.unique(x1.ravel(), return_inverse=True)
+            u2, i2 = np.unique(x2.ravel(), return_inverse=True)
+            cache["U1"], cache["U2"] = (np.sin(np.outer(u, idx * math.pi)) for u in (u1, u2))
+            cache["flat"] = i1 * u2.size + i2
         elif self.kind in ("gl-analytic", "gl-gevrey3"):
             cache["xsum"] = x1 + x2
         return cache
@@ -218,14 +214,11 @@ class CoefficientModel:
         if kind == "gl-gevrey3":
             return 1.0 + cache["xsum"] * math.exp(-1.0 / math.sqrt(yv[0] + 1.0))
         if kind == "qmc-analytic":
-            s = cache["S"] @ yv
-            return (2.0 + 2.0 * np.exp(-zeta(5.0) + s)).reshape(cache["shape"])
+            return 2.0 + 2.0 * np.exp(-zeta(5.0) + _series(cache, yv))
         if kind == "qmc-gevrey2":
-            s = cache["S"] @ _gevrey2_transform(yv)
-            return (3.0 + s / zeta(5.0)).reshape(cache["shape"])
+            return 3.0 + _series(cache, _gevrey2_transform(yv)) / zeta(5.0)
         if kind == "custom":
-            s = cache["S"] @ yv
-            return (self.params["base"] + s).reshape(cache["shape"])
+            return self.params["base"] + _series(cache, yv)
         if kind == "constant":
             return np.full(cache["shape"], self.params["a"])
         raise AssertionError(kind)
@@ -246,6 +239,15 @@ class CoefficientModel:
 
     def __repr__(self) -> str:
         return f"CoefficientModel({self.kind!r}, dim={self.dim})"
+
+
+def _series(cache: dict, t: np.ndarray) -> np.ndarray:
+    """sum_j amp_j t_j sin(j pi x1) sin(j pi x2) at the cached points, gathered
+    from G = U1 diag(amp t) U2^T over the terms up to the last non-zero one."""
+    coef = cache["amp"] * t
+    k = np.flatnonzero(coef)[-1] + 1 if coef.any() else 0
+    G = (cache["U1"][:, :k] * coef[:k]) @ cache["U2"][:, :k].T
+    return G.ravel()[cache["flat"]].reshape(cache["shape"])
 
 
 def _gevrey2_transform(y: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import dsygvd
 
 from .fem import Assembler, SparseSystem, build_mesh
 
@@ -258,11 +258,10 @@ def _iterate(
             Z[1:rows] *= scale
         GA, GM = X[:rows] @ AX[:rows].T, X[:rows] @ MX[:rows].T
         for k in range(rows, 0, -1):
-            try:
-                _, C = sla.eigh(GA[:k, :k], GM[:k, :k], check_finite=False)
-                break
-            except np.linalg.LinAlgError:
-                continue  # rank loss: drop p, then w
+            # the LAPACK routine behind scipy.linalg.eigh, without its wrapper
+            _, C, info = dsygvd(GA[:k, :k], GM[:k, :k])
+            if info == 0:
+                break  # else rank loss: drop p, then w
         else:
             raise EigenSolveError("iterate collapsed (singular M)")
         c = np.copysign(1.0, C[0, 0]) * C[:, 0]  # keep the orientation of x

@@ -25,6 +25,18 @@ def system_from_dense(A, M):
     return SparseSystem(A, M, 0.0, shift_invert(A, M, 0.0), np.ones(A.shape[0]))
 
 
+def sine_series(indices, amplitudes, x1, x2, t):
+    """sum_j amp_j t_j sin(j pi x1) sin(j pi x2), summed directly.
+
+    One (points x terms) table of sine products, times amp, times t: the
+    oracle for the separable field of ``CoefficientModel.a_cached``.
+    """
+    idx = np.asarray(indices) * math.pi
+    x1, x2 = np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
+    table = np.sin(np.multiply.outer(x1.ravel(), idx)) * np.sin(np.multiply.outer(x2.ravel(), idx))
+    return (table * amplitudes @ t).reshape(x1.shape)
+
+
 def random_spd_pair(rng, n):
     """SPD pair with well-separated low eigenvalues."""
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))

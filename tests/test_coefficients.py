@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from support import sine_series
 
 from gevrey_evp.coefficients import (
     CHI1,
@@ -15,6 +18,7 @@ from gevrey_evp.coefficients import (
     zeta,
 )
 from gevrey_evp.combinatorics import Multiindex, ff_half
+from gevrey_evp.fem import build_mesh
 
 
 def zeta_series_oracle(s, terms=2_000_000):
@@ -139,6 +143,62 @@ class TestModels:
             CoefficientModel(
                 "custom", {"indices": [1], "amplitudes": [10.0], "base": 1.0}
             )
+
+
+class TestSeriesField:
+    """The separable field of the series kinds against the direct series."""
+
+    # scattered points, on no grid: every coordinate is distinct
+    X1, X2 = np.random.default_rng(7).random((2, 9, 13))
+
+    def _assert_field(self, model, y, expect):
+        a = model.a_cached(model.precompute(self.X1, self.X2), y)
+        assert a.shape == self.X1.shape
+        assert np.max(np.abs(a - expect) / np.abs(expect)) <= 1e-14
+
+    def _samples(self, model):
+        rng = np.random.default_rng(11)
+        return [rng.random(model.dim) - 0.5, rng.random(3) - 0.5, np.zeros(model.dim)]
+
+    def test_qmc_analytic(self):
+        model = model_by_name("qmc-analytic")
+        idx = np.arange(1, 101)
+        for y in self._samples(model):
+            series = sine_series(idx, idx**-5.0, self.X1, self.X2, model.pad_y(y))
+            self._assert_field(model, y, 2.0 + 2.0 * np.exp(-zeta(5.0) + series))
+
+    def test_qmc_gevrey2_to_the_endpoint(self):
+        model = model_by_name("qmc-gevrey2")
+        idx = np.arange(1, 101)
+        mixed = np.random.default_rng(5).random(100) - 0.5
+        mixed[::3] = -0.5
+        for y in self._samples(model) + [mixed, np.full(100, -0.5)]:
+            with np.errstate(divide="ignore"):
+                t = np.exp(-1.0 / (model.pad_y(y) + 0.5))  # exp(-inf) = 0 at -1/2
+            series = sine_series(idx, idx**-5.0, self.X1, self.X2, t)
+            self._assert_field(model, y, 3.0 + series / zeta(5.0))
+
+    def test_custom_with_gaps_in_the_indices(self):
+        idx, amp = [1, 3, 7], [0.4, -0.3, 0.2]
+        model = CoefficientModel("custom", {"indices": idx, "amplitudes": amp, "base": 2.0})
+        for y in self._samples(model) + [[0.0, 0.0, 0.5]]:
+            series = sine_series(idx, amp, self.X1, self.X2, model.pad_y(y))
+            self._assert_field(model, y, 2.0 + series)
+
+    def test_field_cache_is_small(self):
+        # per-axis sine values and one index: a (points x terms) table at
+        # m = 128 would hold 6 m^2 x 100 doubles, 79 MB
+        mesh = build_mesh(128)
+        model = model_by_name("qmc-analytic")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cache["U1"].shape == (2 * 128 + 1, 100)
+        assert held < 2e6
 
 
 class TestBoundConstants:

@@ -278,10 +278,26 @@ class TestBlockSecond:
         assert abs(rep.lambda1 - w[0]) <= 1e-10 * w[0]
         assert abs(rep.lambda2 - w[1]) <= 1e-10 * w[1]
 
-    def test_two_dof_second(self):
+    def test_two_dof_second(self, monkeypatch):
+        # on two dofs the Gram matrix of M loses rank: for [x, w, p] from the
+        # second step, for [x, w] once x has converged.  LAPACK reports
+        # info > k, and the step retries on the leading rows.
+        calls = []
+        lapack_dsygvd = eigensolver.dsygvd
+
+        def dsygvd(a, b):
+            w, v, info = lapack_dsygvd(a, b)
+            calls.append((a.shape[0], info))
+            return w, v, info
+
+        monkeypatch.setattr(eigensolver, "dsygvd", dsygvd)
         sysm = system_from_dense(np.diag([1.0, 3.0]), np.eye(2))
-        p2 = second_eigenpair(sysm, smallest_eigenpair(sysm))
-        assert p2.value == pytest.approx(3.0, rel=1e-13)
+        p1 = smallest_eigenpair(sysm)
+        p2 = second_eigenpair(sysm, p1)
+        assert (p1.value, p2.value) == pytest.approx((1.0, 3.0), rel=1e-13)
+        failed = [(k, info) for k, info in calls if info != 0]
+        assert {k for k, _ in failed} == {2, 3}
+        assert all(info > k for k, info in failed)
 
     def test_one_dof_has_no_second(self):
         sysm = system_from_dense(np.diag([2.0]), np.eye(1))

@@ -9,6 +9,7 @@ from gevrey_evp.qmc import (
     LatticeRule,
     PODWeights,
     _candidate_scorer,
+    _lambda1_map,
     bernoulli2,
     bernoulli_zeta_factor,
     cbc_construct,
@@ -326,8 +327,26 @@ class TestStudies:
         w = PODWeights(1.0, 0.8, np.ones(8))
         rule = make_lattice_rule(8, 16, z=cbc_construct(8, 16, w), R=2, master_seed=6)
         records = truncation_study(model, 4, [1, 2, 4], rule, tol=1e-12)
-        assert records[0][1] <= 1e-13
-        assert records[1][1] <= 1e-13
+        assert all(err <= 1e-13 for _, err in records)
+
+    def test_truncation_reference_is_the_untruncated_integrand(self):
+        # the last requested s still drops terms s + 1..rule.s, so its error
+        # is non-zero and depends on the rule's dimension
+        model = model_by_name("qmc-analytic")
+        errors = []
+        for ref_s in (4, 8):
+            w = PODWeights(1.0, 0.6, np.arange(1, ref_s + 1.0) ** -5.0)
+            rule = make_lattice_rule(ref_s, 8, z=cbc_construct(ref_s, 8, w), R=2,
+                                     master_seed=5)
+            records = truncation_study(model, 4, [0, 1, 2], rule)
+            lam = _lambda1_map(model, 4, 1e-14)
+            reference = qmc_estimate(lam, rule)[0]
+            truncated = qmc_estimate(lambda y: lam(np.concatenate([y[:2], np.zeros(ref_s - 2)])),
+                                     rule)[0]
+            assert records[-1] == (2, abs(reference - truncated))
+            assert records[-1][1] > 0.0
+            errors.append(records[-1][1])
+        assert errors[0] != errors[1]
 
     def test_truncation_rejects_negative_s(self):
         # s = -1 would zero only the last parameter; s = 0 zeroes them all
