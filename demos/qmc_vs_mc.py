@@ -9,6 +9,7 @@ n up to 2^13) to finish in about a minute; raise the constants to match.
 import pathlib
 
 from gevrey_evp import emit_csv, emit_svg, fit_rate, model_by_name, rmse_study
+from gevrey_evp.qmc import default_weights
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -17,18 +18,22 @@ MESH_M = 16
 LEVELS = [2**k for k in range(4, 10)]
 SHIFTS = 8
 
+model = model_by_name("qmc-analytic")
+weights = default_weights(model, S_DIM)  # beta_j = j^-5
 result = rmse_study(
-    model_by_name("qmc-analytic"),
+    model,
     m=MESH_M,
     s=S_DIM,
     n_list=LEVELS,
     R=SHIFTS,
     master_seed=1905,
     mc_replicates=16,
+    weights=weights,
 )
+provenance = f"cbc(delta={weights.delta},theta={weights.theta},beta=j^-5)"
 
 print(f"reference value (highest-level lattice estimate): {result.reference:.10f}")
-print(f"generating vectors: {result.provenance}")
+print(f"generating vectors: {provenance}")
 print(f"{'n':>6} {'rmse_qmc':>12} {'rmse_mc':>12}")
 mc_by_n = {r.n: r.rmse for r in result.mc}
 records = [(r.n, r.rmse, mc_by_n[r.n]) for r in result.qmc]
@@ -44,7 +49,7 @@ csv_path = HERE / "qmc_vs_mc.csv"
 emit_csv(records, csv_path, ["n", "rmse_qmc", "rmse_mc"],
          metadata={"model": "qmc-analytic", "m": MESH_M, "s": S_DIM,
                    "shifts": SHIFTS, "seed": 1905,
-                   "vectors": result.provenance})
+                   "vectors": provenance})
 emit_svg([(n, rq) for n, rq, _ in records], qmc_fit, HERE / "qmc_vs_mc.svg",
          "loglog", title="lattice rule vs Monte Carlo", ylabel="log rel. RMSE")
 print(f"wrote {csv_path.name} and qmc_vs_mc.svg")

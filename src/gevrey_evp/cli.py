@@ -146,7 +146,7 @@ def _run_gl_study(cfg: RunConfig) -> int:
 
 
 def _weights_for(cfg: RunConfig, s: int, model) -> qmc.PODWeights:
-    delta = cfg["delta"] if cfg["delta"] > 0 else model.gevrey_order
+    delta = cfg["delta"] or model.gevrey_order
     beta = qmc.parse_beta_rule(cfg["beta"], s)
     return qmc.PODWeights(delta, cfg["theta"], beta)
 
@@ -156,8 +156,10 @@ def _run_qmc_study(cfg: RunConfig) -> int:
     lo, hi = cfg["levels"]
     n_list = [2**level for level in range(lo, hi + 1)]
     weights = _weights_for(cfg, cfg["s"], model)
+    provenance = f"cbc(delta={weights.delta},theta={weights.theta},beta={cfg['beta']})"
     z_by_level = None
     if cfg["vectors"]:
+        provenance = "supplied"
         z_by_level = {}
         for n in n_list:
             path = cfg["vectors"].replace("{n}", str(n))
@@ -190,7 +192,7 @@ def _run_qmc_study(cfg: RunConfig) -> int:
         "shifts": cfg["shifts"],
         "mc_shifts": cfg["mc_shifts"],
         "seed": cfg["seed"],
-        "vectors": result.provenance,
+        "vectors": provenance,
     }
     emit_csv(records, cfg["out"], ["n", "rmse_qmc", "rmse_mc"], metadata=meta)
     if cfg["svg"]:

@@ -35,7 +35,7 @@ import importlib
 import itertools
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dsygvd
@@ -57,7 +57,7 @@ class EigenPair:
     """Eigenvalue, M-normalized eigenvector, scaled residual, iteration count.
 
     ``exit_reason`` is the stopping test that accepted the pair: "step",
-    "floor" or "plateau" (see ``_converge``); empty on an unconverged iterate.
+    "floor" or "plateau" (see ``_iterate``); empty on an unconverged iterate.
     """
 
     value: float
@@ -158,54 +158,6 @@ def _check_system(sys: SparseSystem):
             raise EigenSolveError(f"{name} is not usable (nonpositive diagonal or NaN)")
 
 
-def _converge(step, tol: float, max_iter: int) -> EigenPair:
-    """Call ``step() -> (lambda, vector, residual)`` until an exit accepts it.
-
-    The exits, tried in this order after every step:
-
-    - ``"step"``: successive lambdas differ by at most ``tol * lambda`` and
-      the residual is at most ``10 * tol * lambda``;
-    - ``"floor"``: the lambdas have settled as above, but the residual has
-      not fallen by 0.1% in 8 steps, so rounding has put its floor above
-      ``10 * tol * lambda`` (as it has for any tol near 1e-20);
-    - ``"plateau"``: no residual gain in 10 steps, and the last 8 lambdas lie
-      within 100 ulps of each other.
-    """
-    history: list[float] = []  # trailing Rayleigh quotients
-    best_res = np.inf
-    stall = 0
-    pair = None
-    lam = np.inf
-    eps = float(np.finfo(float).eps)
-    for it in range(1, max_iter + 1):
-        lam, x, res = step()
-        if lam <= 0.0 or not np.isfinite(lam):
-            raise EigenSolveError(f"nonpositive Rayleigh quotient {lam}")
-        pair = EigenPair(lam, x, res, it)
-        # Near machine precision the iterate can settle into a short cycle of
-        # floating-point fixed points whose one-step difference never drops
-        # below tol; the two-step difference then vanishes.
-        diffs = [abs(lam - old) for old in history[-2:]]
-        lam_converged = bool(diffs) and min(diffs) <= tol * lam
-        if lam_converged and res <= 10.0 * tol * lam:
-            return replace(pair, exit_reason="step")
-        if res < best_res * (1.0 - 1e-3):
-            best_res = res
-            stall = 0
-        else:
-            stall += 1
-        if lam_converged and stall >= 8:
-            return replace(pair, exit_reason="floor")
-        history.append(lam)
-        if stall >= 10 and len(history) >= 8:
-            window = history[-8:]
-            if max(window) - min(window) <= 100.0 * eps * abs(lam):
-                return replace(pair, exit_reason="plateau")
-    raise EigenSolveError(
-        f"no convergence after {max_iter} iterations (last lambda {lam})", last=pair
-    )
-
-
 @_one_blas_thread()
 def _iterate(
     sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int, deflate=None
@@ -223,7 +175,22 @@ def _iterate(
     With ``deflate`` (an M-normalized vector u1) the start, every w and every
     new iterate are M-projected against u1, so the loop runs in the
     M-complement of u1; without it the projection is the identity.
+
+    The exits, tried in this order after every step:
+
+    - ``"step"``: successive lambdas differ by at most ``tol * lambda`` and
+      the residual is at most ``10 * tol * lambda``;
+    - ``"floor"``: the lambdas have settled as above, but the residual has
+      not fallen by 0.1% in 8 steps, so rounding has put its floor above
+      ``10 * tol * lambda`` (as it has for any tol near 1e-20);
+    - ``"plateau"``: no residual gain in 10 steps, and the last 8 lambdas lie
+      within 100 ulps of each other.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    _check_system(sys)
     A, M, precondition = sys.A, sys.M, sys.precondition
     X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
     rows = 2  # x and w; p joins after the first step
@@ -247,9 +214,11 @@ def _iterate(
         return lam, AX[0] - lam * MX[0]
 
     lam, r = accept(project(x0))
-
-    def step():
-        nonlocal lam, r, rows
+    history: list[float] = []  # trailing Rayleigh quotients
+    best_res = np.inf
+    stall = 0
+    eps = float(np.finfo(float).eps)
+    for it in range(1, max_iter + 1):
         X[1] = project(precondition(r))
         AX[1], MX[1] = A @ X[1], M @ X[1]
         scale = np.einsum("ij,ij->i", X[1:rows], MX[1:rows])
@@ -271,9 +240,31 @@ def _iterate(
         v += X[2]
         lam, r = accept(project(v))
         rows = 3 if k > 1 else 2
-        return lam, X[0].copy(), float(np.linalg.norm(r) / np.linalg.norm(X[0]))
-
-    return _converge(step, tol, max_iter)
+        res = float(np.linalg.norm(r) / np.linalg.norm(X[0]))
+        if lam <= 0.0 or not np.isfinite(lam):
+            raise EigenSolveError(f"nonpositive Rayleigh quotient {lam}")
+        # Near machine precision the iterate can settle into a short cycle of
+        # floating-point fixed points whose one-step difference never drops
+        # below tol; the two-step difference then vanishes.
+        diffs = [abs(lam - old) for old in history[-2:]]
+        settled = bool(diffs) and min(diffs) <= tol * lam
+        if res < best_res * (1.0 - 1e-3):
+            best_res, stall = res, 0
+        else:
+            stall += 1
+        history.append(lam)
+        window = history[-8:]
+        if settled and res <= 10.0 * tol * lam:
+            reason = "step"
+        elif settled and stall >= 8:
+            reason = "floor"
+        elif stall >= 10 and len(window) == 8 and max(window) - min(window) <= 100.0 * eps * lam:
+            reason = "plateau"
+        else:
+            continue
+        return EigenPair(lam, X[0].copy(), res, it, reason)
+    raise EigenSolveError(f"no convergence after {max_iter} iterations (last lambda {lam})",
+                          last=EigenPair(lam, X[0].copy(), res, max_iter))
 
 
 def smallest_eigenpair(
@@ -285,9 +276,6 @@ def smallest_eigenpair(
     Raises ``EigenSolveError`` when the eigenvalue found is not above the
     system's certified shift.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_system(sys)
     pair = _iterate(sys, sys.start, tol, max_iter)
     if pair.value <= sys.shift:
         raise EigenSolveError(
@@ -312,9 +300,6 @@ def second_eigenpair(
     lambda3 the vector is one of their shared eigenspace.  ``iterations``
     counts LOBPCG steps.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    _check_system(sys)
     n = sys.n_dof
     if n < 2:
         raise EigenSolveError("a one-dof system has no second eigenpair")
@@ -329,20 +314,17 @@ def second_eigenpair(
     return pair
 
 
-def estimate_gap(
-    model,
-    m: int,
-    y_samples,
-    tol: float = 1e-12,
-    max_iter: int = 10000,
-) -> GapReport:
+_GAP_TOL = 1e-12
+
+
+def estimate_gap(model, m: int, y_samples) -> GapReport:
     """Minimum sampled relative spectral gap 1 - lambda1/lambda2.
 
-    Solves both eigenpairs at every sample, to the same relative ``tol``;
-    the result is an upper estimate of the true uniform gap.  lambda2 comes
-    from ``second_eigenpair``, the lambda1 loop deflated against u1.  Solver
-    failures are re-raised with the index
-    of the offending sample attached.
+    Solves both eigenpairs at every sample to the relative tolerance
+    ``_GAP_TOL``; the result is an upper estimate of the true uniform gap.
+    lambda2 comes from ``second_eigenpair``, the lambda1 loop deflated
+    against u1.  Solver failures are re-raised with the index and the
+    parameter of the offending sample attached.
     """
     samples = list(y_samples)
     if not samples:
@@ -352,8 +334,8 @@ def estimate_gap(
     for k, y in enumerate(samples):
         try:
             system = asm.system(y)
-            p1 = smallest_eigenpair(system, tol, max_iter)
-            p2 = second_eigenpair(system, p1, tol, max_iter)
+            p1 = smallest_eigenpair(system, _GAP_TOL)
+            p2 = second_eigenpair(system, p1, _GAP_TOL)
         except EigenSolveError as exc:
             raise EigenSolveError(f"sample {k} (y={y!r}): {exc}", last=exc.last) from exc
         gap = 1.0 - p1.value / p2.value

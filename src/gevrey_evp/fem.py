@@ -64,8 +64,6 @@ class Mesh:
             raise ValueError(f"mesh needs m >= 2 cells per side, got {m}")
         self.m = int(m)
         self.h = 1.0 / m
-        self.n_vertices = (m + 1) ** 2
-        self.n_triangles = 2 * m * m
         self.n_dof = (m - 1) ** 2
 
         cells = np.arange(m * m)

@@ -62,6 +62,8 @@ def _model_name(v):
 
 # POD weights need the finite zeta(2 theta), so theta in (1/2, 1]
 _THETA = _Field("float", 0.6, theta_problem)
+_DELTA = _Field("float", 0.0, lambda v: None if v == 0.0 or 1.0 <= v < math.inf
+                else "delta must be 0 (the model's Gevrey order) or a finite value >= 1")
 _LEVELS = _Field("intpair", (4, 10), lambda v: None if 1 <= v[0] <= v[1]
                  else f"levels {v[0]}..{v[1]} must satisfy 1 <= lo <= hi")
 
@@ -85,7 +87,7 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "mc_shifts": _Field("int", 32, _at_least("mc_shifts", 1)),
         "seed": _Field("int", 7193, _at_least("seed", 0)),
         "theta": _THETA,
-        "delta": _Field("float", 0.0),  # 0 = use the model's Gevrey order
+        "delta": _DELTA,
         "beta": _Field("str", "j^-5"),
         "tol": _Field("float", 1e-14, _positive("tol")),
         "with_mc": _Field("bool", True),
@@ -114,7 +116,7 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "shifts": _Field("int", 8, _at_least("shifts", 1)),
         "seed": _Field("int", 7193, _at_least("seed", 0)),
         "theta": _THETA,
-        "delta": _Field("float", 0.0),
+        "delta": _DELTA,
         "beta": _Field("str", "j^-5"),
         "tol": _Field("float", 1e-14, _positive("tol")),
         "out": _Field("str", "trunc_study.csv"),

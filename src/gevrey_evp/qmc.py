@@ -372,7 +372,6 @@ class RmseStudyResult:
     mc: list[ErrorRecord]
     reference: float
     z_by_level: dict[int, np.ndarray]
-    provenance: str
 
 
 def default_weights(model: CoefficientModel, s: int, theta: float = 0.6) -> PODWeights:
@@ -453,12 +452,8 @@ def rmse_study(
         weights = default_weights(model, s)
     if z_by_level is None:
         vectors = {n: cbc_construct(s, n, weights) for n in n_list}
-        provenance = (
-            f"cbc(delta={weights.delta},theta={weights.theta},beta=j^-5)"
-        )
     else:
         vectors = {n: np.asarray(z_by_level[n], dtype=np.int64) for n in n_list}
-        provenance = "supplied"
 
     F = _lambda1_map(model, m, tol)
     per_level: dict[int, np.ndarray] = {}
@@ -479,7 +474,7 @@ def rmse_study(
             for n, reps in zip(n_list, per_level_mc)
         ]
 
-    return RmseStudyResult(qmc_records, mc_records, reference, vectors, provenance)
+    return RmseStudyResult(qmc_records, mc_records, reference, vectors)
 
 
 def mc_study(

@@ -9,6 +9,7 @@ from support import random_spd_pair, shift_invert, system_from_dense
 from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
 from gevrey_evp import eigensolver
 from gevrey_evp.eigensolver import (
+    EigenPair,
     EigenSolveError,
     estimate_gap,
     second_eigenpair,
@@ -102,6 +103,18 @@ class TestContracts:
             smallest_eigenpair(sysm, tol=1e-30, max_iter=3)
         assert err.value.last is not None
         assert err.value.last.iterations == 3
+
+    def test_entry_checks(self):
+        sysm = system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3))
+        p1 = smallest_eigenpair(sysm)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            smallest_eigenpair(sysm, tol=0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            second_eigenpair(sysm, p1, tol=-1)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            smallest_eigenpair(sysm, max_iter=0)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            second_eigenpair(sysm, p1, max_iter=0)
 
     def test_rejects_indefinite(self):
         bad = system_from_dense(np.diag([1.0, -2.0]), np.eye(2))
@@ -301,7 +314,7 @@ class TestBlockSecond:
 
     def test_one_dof_has_no_second(self):
         sysm = system_from_dense(np.diag([2.0]), np.eye(1))
-        with pytest.raises(EigenSolveError, match="second"):
+        with pytest.raises(EigenSolveError, match="^a one-dof system has no second eigenpair$"):
             second_eigenpair(sysm, smallest_eigenpair(sysm))
 
     def test_determinism(self):
@@ -370,13 +383,33 @@ class TestGap:
         assert 0.0 < rep.gap < 1.0
         assert 0.0 < rep.lambda1 < rep.lambda2
 
-    def test_failure_names_the_sample(self):
-        samples = [[0.25], [-0.5]]
+    def test_failure_names_the_sample(self, monkeypatch):
+        # the "system" at y is y[0]; the stub solver fails at positive y
+        last = EigenPair(1.0, np.ones(1), 1.0, 3)
+        tols = []
+
+        class Assembler:
+            def __init__(self, mesh, model):
+                pass
+
+            def system(self, y):
+                return y[0]
+
+        def smallest(y, tol):
+            tols.append(tol)
+            if y > 0.0:
+                raise EigenSolveError("stub failure", last=last)
+            return EigenPair(1.0, np.ones(1), 0.0, 1, "step")
+
+        monkeypatch.setattr(eigensolver, "Assembler", Assembler)
+        monkeypatch.setattr(eigensolver, "smallest_eigenpair", smallest)
+        monkeypatch.setattr(eigensolver, "second_eigenpair",
+                            lambda y, p1, tol: replace(p1, value=2.0))
         with pytest.raises(EigenSolveError) as err:
-            estimate_gap(model_by_name("gl-analytic"), 8, samples, max_iter=2)
-        assert str(err.value).startswith(
-            "sample 0 (y=[0.25]): no convergence after 2 iterations")
-        assert err.value.last.iterations == 2
+            estimate_gap(model_by_name("constant"), 4, [[-0.5], [0.25]])
+        assert str(err.value) == "sample 1 (y=[0.25]): stub failure"
+        assert err.value.last is last
+        assert tols == [1e-12, 1e-12]
 
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,16 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: flag --s-list: s_list entries must be >= 0, got -1\n")
         assert not (tmp_path / "t.csv").exists()
+        # delta is 0 (the model's Gevrey order) or a finite value >= 1
+        for argv in (["trunc-study", "--model", "qmc-analytic", "--delta=-1"],
+                     ["qmc-study", "--model", "qmc-analytic", "--delta", "nan"],
+                     ["qmc-study", "--model", "qmc-analytic", "--delta", "0.5"],
+                     ["trunc-study", "--model", "qmc-analytic", "--delta", "inf"]):
+            assert main(argv + ["--out", str(tmp_path / "d.csv")]) == 1
+            assert capsys.readouterr().err == (
+                "config error: flag --delta: delta must be 0 (the model's Gevrey order)"
+                " or a finite value >= 1\n")
+        assert not (tmp_path / "d.csv").exists()
         # usage errors are validation errors too: usage, message, exit 1
         for argv in (["cbc", "--no-such"], ["checks", "nonsense"],
                      ["gl-study", "--model", "gl-analytic", "--m"]):
@@ -349,6 +359,23 @@ class TestCli:
             assert code == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_qmc_study_names_its_vectors(self, tmp_path, capsys):
+        from gevrey_evp.qmc import save_vector
+
+        run = ["qmc-study", "--model", "qmc-analytic", "--m", "4", "--s", "3",
+               "--levels", "1..2", "--shifts", "2", "--mc-shifts", "2"]
+        rule = ["--beta", "0.5*j^-2", "--delta", "2.5", "--theta", "0.9"]
+        for n in (2, 4):
+            save_vector(tmp_path / f"z{n}.txt", np.ones(3, dtype=np.int64), 3, n)
+        for extra, line in (
+            ([], "cbc(delta=1.0,theta=0.6,beta=j^-5)"),  # the model's delta 1
+            (rule, "cbc(delta=2.5,theta=0.9,beta=0.5*j^-2)"),
+            (["--vectors", str(tmp_path / "z{n}.txt")], "supplied"),
+        ):
+            out = tmp_path / "q.csv"
+            assert main(run + extra + ["--out", str(out)]) == 0
+            assert f"# vectors = {line}\n" in out.read_text()
 
     def test_checks_gevrey_runs_reduced(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"
