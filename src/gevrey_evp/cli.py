@@ -67,26 +67,20 @@ def _config_from_args(args) -> RunConfig:
 
 # -- subcommand bodies --------------------------------------------------------
 
-def _run_checks_combinatorics(cfg: RunConfig) -> int:
-    failed = False
-    for label, passed in comb.identity_checks(cfg["n_max"], cfg["nu_max"]):
-        print(f"{'PASS' if passed else 'FAIL'}  {label}")
-        failed |= not passed
-    return 2 if failed else 0
-
-
-def _run_checks_gevrey(cfg: RunConfig) -> int:
+def _run_checks(cfg: RunConfig) -> int:
+    if cfg["which"] == "combinatorics":
+        failed = False
+        for label, passed in comb.identity_checks(cfg["n_max"], cfg["nu_max"]):
+            print(f"{'PASS' if passed else 'FAIL'}  {label}")
+            failed |= not passed
+        return 2 if failed else 0
     model = resolve_model(cfg["model"])
     f = axis_eigenvalue_map(model, cfg["m"], 1e-14)
     coeffs = legendre_coeffs(f, cfg["K"], cfg["quad_n"])
     fit = classify_decay(coeffs)
     if cfg["out"]:
-        emit_csv(
-            [(k, abs(c)) for k, c in enumerate(coeffs)],
-            cfg["out"],
-            ["k", "abs_coeff"],
-            metadata={"model": cfg["model"], "m": cfg["m"], "K": cfg["K"]},
-        )
+        emit_csv([(k, abs(c)) for k, c in enumerate(coeffs)], cfg["out"], ["k", "abs_coeff"],
+                 metadata={"model": cfg["model"], "m": cfg["m"], "K": cfg["K"]})
     print(f"model {cfg['model']}: best delta = {fit.delta} "
           f"(rate {fit.rate:.4f}, goodness {fit.goodness:.5f})")
     for delta, (rate, r2) in sorted(fit.candidates.items()):
@@ -117,30 +111,35 @@ def _run_solve_evp(cfg: RunConfig) -> int:
     return 0
 
 
+def _emit_study(cfg: RunConfig, records, columns, keys: str, **derived) -> None:
+    """The study CSV: ``experiment``, then each of ``keys`` in order, taken
+    from ``derived`` where given and from the config otherwise."""
+    meta = {"experiment": cfg.experiment}
+    meta.update((k, derived[k] if k in derived else cfg[k]) for k in keys.split())
+    emit_csv(records, cfg["out"], columns, metadata=meta)
+
+
+def _emit_plot(cfg: RunConfig, records, transform: str, what: str, ylabel: str) -> None:
+    """The ``--svg`` plot of (t, error) records, with a fitted line once at
+    least 4 errors are positive."""
+    if cfg["svg"]:
+        fit = fit_rate(records, transform) if sum(e > 0 for _, e in records) >= 4 else None
+        emit_svg(records, fit, cfg["svg"], transform,
+                 title=f"{cfg['model']} {what}", ylabel=ylabel)
+
+
+def _point_counts(cfg: RunConfig) -> list[int]:
+    lo, hi = cfg["levels"]
+    return [2**level for level in range(lo, hi + 1)]
+
+
 def _run_gl_study(cfg: RunConfig) -> int:
     model = resolve_model(cfg["model"])
-    records = gl_study(
-        model,
-        cfg["m"],
-        list(range(cfg["n_min"], cfg["n_max"] + 1)),
-        cfg["n_star"],
-        tol=cfg["tol"],
-    )
-    meta = {
-        "experiment": "gl-study",
-        "model": cfg["model"],
-        "m": cfg["m"],
-        "n_star": cfg["n_star"],
-        "tol": cfg["tol"],
-    }
-    emit_csv(records, cfg["out"], ["n", "error"], metadata=meta)
-    if cfg["svg"]:
-        transform = "log-vs-cuberoot-n" if model.gevrey_order >= 3 else "log-vs-n"
-        fit = None
-        if sum(1 for _, e in records if e > 0) >= 4:
-            fit = fit_rate(records, transform)
-        emit_svg(records, fit, cfg["svg"], transform,
-                 title=f"{cfg['model']} quadrature error", ylabel="log rel. error")
+    records = gl_study(model, cfg["m"], list(range(cfg["n_min"], cfg["n_max"] + 1)),
+                       cfg["n_star"], tol=cfg["tol"])
+    _emit_study(cfg, records, ["n", "error"], "model m n_star tol")
+    transform = "log-vs-cuberoot-n" if model.gevrey_order >= 3 else "log-vs-n"
+    _emit_plot(cfg, records, transform, "quadrature error", "log rel. error")
     print(f"wrote {cfg['out']} ({len(records)} records)")
     return 0
 
@@ -153,8 +152,7 @@ def _weights_for(cfg: RunConfig, s: int, model) -> qmc.PODWeights:
 
 def _run_qmc_study(cfg: RunConfig) -> int:
     model = resolve_model(cfg["model"])
-    lo, hi = cfg["levels"]
-    n_list = [2**level for level in range(lo, hi + 1)]
+    n_list = _point_counts(cfg)
     weights = _weights_for(cfg, cfg["s"], model)
     provenance = f"cbc(delta={weights.delta},theta={weights.theta},beta={cfg['beta']})"
     z_by_level = None
@@ -168,60 +166,27 @@ def _run_qmc_study(cfg: RunConfig) -> int:
                 raise ConfigError([f"vector file {path} does not match s={cfg['s']}, n={n}"])
             z_by_level[n] = z[: cfg["s"]]
     result = qmc.rmse_study(
-        model,
-        cfg["m"],
-        cfg["s"],
-        n_list,
-        R=cfg["shifts"],
-        master_seed=cfg["seed"],
-        mc_replicates=cfg["mc_shifts"],
-        weights=weights,
-        z_by_level=z_by_level,
-        tol=cfg["tol"],
-        with_mc=cfg["with_mc"],
+        model, cfg["m"], cfg["s"], n_list, R=cfg["shifts"], master_seed=cfg["seed"],
+        mc_replicates=cfg["mc_shifts"], weights=weights, z_by_level=z_by_level,
+        tol=cfg["tol"], with_mc=cfg["with_mc"],
     )
     mc_by_n = {rec.n: rec.rmse for rec in result.mc}
     records = [
         (rec.n, rec.rmse, mc_by_n.get(rec.n, float("nan"))) for rec in result.qmc
     ]
-    meta = {
-        "experiment": "qmc-study",
-        "model": cfg["model"],
-        "m": cfg["m"],
-        "s": cfg["s"],
-        "shifts": cfg["shifts"],
-        "mc_shifts": cfg["mc_shifts"],
-        "seed": cfg["seed"],
-        "vectors": provenance,
-    }
-    emit_csv(records, cfg["out"], ["n", "rmse_qmc", "rmse_mc"], metadata=meta)
-    if cfg["svg"]:
-        plot = [(n, r) for n, r, _ in records if r > 0]
-        fit = fit_rate(plot, "loglog") if len(plot) >= 4 else None
-        emit_svg(plot, fit, cfg["svg"], "loglog",
-                 title=f"{cfg['model']} QMC error", ylabel="log rel. RMSE")
+    _emit_study(cfg, records, ["n", "rmse_qmc", "rmse_mc"],
+                "model m s shifts mc_shifts seed vectors", vectors=provenance)
+    _emit_plot(cfg, [(n, r) for n, r, _ in records], "loglog", "QMC error", "log rel. RMSE")
     print(f"wrote {cfg['out']} ({len(records)} levels, reference {result.reference!r})")
     return 0
 
 
 def _run_mc_study(cfg: RunConfig) -> int:
     model = resolve_model(cfg["model"])
-    lo, hi = cfg["levels"]
-    n_list = [2**level for level in range(lo, hi + 1)]
-    records = qmc.mc_study(
-        model, cfg["m"], cfg["s"], n_list, cfg["shifts"], cfg["seed"], tol=cfg["tol"]
-    )
-    meta = {
-        "experiment": "mc-study",
-        "model": cfg["model"],
-        "m": cfg["m"],
-        "s": cfg["s"],
-        "shifts": cfg["shifts"],
-        "seed": cfg["seed"],
-    }
-    emit_csv(
-        [(r.n, r.rmse) for r in records], cfg["out"], ["n", "rmse_mc"], metadata=meta
-    )
+    records = qmc.mc_study(model, cfg["m"], cfg["s"], _point_counts(cfg), cfg["shifts"],
+                           cfg["seed"], tol=cfg["tol"])
+    _emit_study(cfg, [(r.n, r.rmse) for r in records], ["n", "rmse_mc"],
+                "model m s shifts seed")
     print(f"wrote {cfg['out']} ({len(records)} levels)")
     return 0
 
@@ -235,15 +200,7 @@ def _run_trunc_study(cfg: RunConfig) -> int:
     )
     records = qmc.truncation_study(model, cfg["m"], list(cfg["s_list"]), rule,
                                    tol=cfg["tol"])
-    meta = {
-        "experiment": "trunc-study",
-        "model": cfg["model"],
-        "m": cfg["m"],
-        "ref_s": cfg["ref_s"],
-        "n": 2 ** cfg["level"],
-        "seed": cfg["seed"],
-    }
-    emit_csv(records, cfg["out"], ["s", "error"], metadata=meta)
+    _emit_study(cfg, records, ["s", "error"], "model m ref_s n seed", n=rule.n)
     print(f"wrote {cfg['out']} ({len(records)} truncation levels)")
     return 0
 
@@ -259,6 +216,7 @@ def _run_cbc(cfg: RunConfig) -> int:
 
 
 _RUNNERS = {
+    "checks": _run_checks,
     "solve-evp": _run_solve_evp,
     "gl-study": _run_gl_study,
     "qmc-study": _run_qmc_study,
@@ -272,10 +230,6 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         cfg = _config_from_args(args)
-        if cfg.experiment == "checks":
-            if cfg["which"] == "combinatorics":
-                return _run_checks_combinatorics(cfg)
-            return _run_checks_gevrey(cfg)
         return _RUNNERS[cfg.experiment](cfg)
     except ConfigError as exc:
         for violation in exc.violations:

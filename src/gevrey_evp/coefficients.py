@@ -223,16 +223,14 @@ class CoefficientModel:
             return np.full(cache["shape"], self.params["a"])
         raise AssertionError(kind)
 
-    def b(self, x1, x2, y) -> np.ndarray:
+    def b(self, x1, x2) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
-        self.pad_y(y)
         if self.kind == "constant":
             return np.full_like(x1, self.params["b"])
         return np.zeros_like(x1)
 
-    def c(self, x1, x2, y) -> np.ndarray:
+    def c(self, x1, x2) -> np.ndarray:
         x1 = np.asarray(x1, dtype=float)
-        self.pad_y(y)
         if self.kind == "constant":
             return np.full_like(x1, self.params["c"])
         return np.ones_like(x1)

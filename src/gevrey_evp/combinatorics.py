@@ -240,8 +240,6 @@ def ff_double_convolution_bound(nu: Multiindex) -> tuple[Fraction, Fraction]:
 class DominationReport:
     """Result of the square-of-series derivative domination check."""
 
-    n_max: int
-    y_grid: tuple[float, ...]
     max_ratio: float          # max over (n, y) of |g^(n)| / |f^(n)|
     max_equality_defect: float  # worst relative defect of the n >= 2 equality
     ok: bool
@@ -295,7 +293,7 @@ def square_domination_check(n_max: int, y_grid: Iterable[float]) -> DominationRe
                 max_defect = max(max_defect, defect)
                 if defect > tol:
                     ok = False
-    return DominationReport(n_max, grid, max_ratio, max_defect, ok)
+    return DominationReport(max_ratio, max_defect, ok)
 
 
 def identity_checks(n_max: int, nu_max: int) -> list[tuple[str, bool]]:

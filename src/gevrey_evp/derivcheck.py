@@ -52,14 +52,8 @@ class DecayFit:
 
     delta: float
     rate: float
-    log_amplitude: float
     goodness: float
-    coeffs: np.ndarray
     candidates: dict[float, tuple[float, float]]  # delta -> (rate, r_squared)
-
-    @property
-    def model(self) -> str:
-        return "analytic" if self.delta == 1.0 else "gevrey"
 
 
 def classify_decay(
@@ -87,12 +81,12 @@ def classify_decay(
     for delta in sorted(float(d) for d in delta_candidates):
         if delta < 1.0:
             raise ValueError("delta candidates must be >= 1")
-        slope, intercept, r2 = _fit_line(ks ** (1.0 / delta), logs)
+        slope, _, r2 = _fit_line(ks ** (1.0 / delta), logs)
         fits[delta] = (-slope, r2)
-        if best is None or r2 > best[1]:  # strict: ties stay with smaller delta
-            best = (delta, r2, -slope, intercept)
-    delta, r2, rate, intercept = best
-    return DecayFit(delta, rate, intercept, r2, coeffs, fits)
+        if best is None or r2 > fits[best][1]:  # strict: ties stay with smaller delta
+            best = delta
+    rate, r2 = fits[best]
+    return DecayFit(best, rate, r2, fits)
 
 
 def fd_derivative(

@@ -196,8 +196,8 @@ class Assembler:
         self.model = model
         self._a_cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
         scale = mesh.h * mesh.h / 6.0
-        b_mid = model.b(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
-        c_mid = model.c(mesh.mid_x1, mesh.mid_x2, np.zeros(1))
+        b_mid = model.b(mesh.mid_x1, mesh.mid_x2)
+        c_mid = model.c(mesh.mid_x1, mesh.mid_x2)
         indptr, indices, pos = _position_index(mesh.m)
         n, nnz = mesh.n_dof, indices.size
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coefficients import MODEL_NAMES
-from .qmc import theta_problem
+from .qmc import _delta_problem, theta_problem
 
 __all__ = [
     "RunConfig",
@@ -62,7 +62,7 @@ def _model_name(v):
 
 # POD weights need the finite zeta(2 theta), so theta in (1/2, 1]
 _THETA = _Field("float", 0.6, theta_problem)
-_DELTA = _Field("float", 0.0, lambda v: None if v == 0.0 or 1.0 <= v < math.inf
+_DELTA = _Field("float", 0.0, lambda v: None if v == 0.0 or not _delta_problem(v)
                 else "delta must be 0 (the model's Gevrey order) or a finite value >= 1")
 _LEVELS = _Field("intpair", (4, 10), lambda v: None if 1 <= v[0] <= v[1]
                  else f"levels {v[0]}..{v[1]} must satisfy 1 <= lo <= hi")
@@ -145,7 +145,7 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
     "cbc": {
         "s": _Field("int", 16, _at_least("s", 1)),
         "n": _Field("int", 1024, _at_least("n", 2)),
-        "delta": _Field("float", 1.0, _at_least("delta", 1.0)),
+        "delta": _Field("float", 1.0, _delta_problem),
         "theta": _THETA,
         "beta": _Field("str", "j^-5"),
         "out": _Field("str", "vector.txt"),
@@ -308,7 +308,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    transform: str
 
 
 def _fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -339,7 +338,7 @@ def fit_rate(records: Sequence[tuple[float, float]], transform: str) -> RateFit:
         raise ValueError(f"need >= 4 records with positive error, got {len(pts)}")
     slope, intercept, r2 = _fit_line(np.array([p[0] for p in pts]),
                                      np.array([p[1] for p in pts]))
-    return RateFit(slope, intercept, r2, transform)
+    return RateFit(slope, intercept, r2)
 
 
 # -- CSV / SVG emission -------------------------------------------------------

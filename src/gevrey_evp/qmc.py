@@ -76,6 +76,12 @@ def theta_problem(theta: float) -> str | None:
     return None
 
 
+def _delta_problem(delta: float) -> str | None:
+    """Why delta is unusable as the POD Gevrey order, or None where it is a
+    finite value >= 1; the one delta rule of the weights and the config."""
+    return None if 1.0 <= delta < math.inf else "delta must be a finite value >= 1"
+
+
 def bernoulli_zeta_factor(theta: float) -> float:
     """phi(theta) = 2 zeta(2 theta) / (2 pi^2)^theta for theta in (1/2, 1]."""
     theta = float(theta)
@@ -99,8 +105,9 @@ class PODWeights:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float))
-        if self.delta < 1.0:
-            raise ValueError("delta must be >= 1")
+        problem = _delta_problem(self.delta)
+        if problem:
+            raise ValueError(f"{problem}, got {self.delta}")
         bernoulli_zeta_factor(self.theta)  # validates theta
         if self.beta.ndim != 1 or self.beta.size == 0 or np.any(self.beta <= 0):
             raise ValueError("beta must be a nonempty positive sequence")
@@ -116,11 +123,20 @@ class PODWeights:
         return 2.0 / (1.0 + self.theta)
 
     def order_factor(self, ell: int) -> float:
-        """(ell!)^(2 delta / (1 + theta)), in log space for large ell."""
+        """(ell!)^(2 delta / (1 + theta)), in log space for large ell; a value
+        past the float range is a ValueError that names the weight."""
         power = self.exponent() * self.delta
-        if ell <= 20:
-            return float(math.factorial(ell)) ** power
-        return math.exp(power * math.lgamma(ell + 1))
+        try:
+            if ell <= 20:
+                value = float(math.factorial(ell)) ** power
+            else:
+                value = math.exp(power * math.lgamma(ell + 1))
+        except OverflowError:
+            value = math.inf
+        if value == math.inf:
+            raise ValueError(f"POD order weight ({ell}!)^{power:.6g} overflows a float "
+                             f"(delta = {self.delta}, theta = {self.theta})")
+        return value
 
     def product_factor(self, j: int) -> float:
         """(beta_j / sqrt(phi))^(2/(1+theta)) for 1-based coordinate j."""
@@ -235,6 +251,10 @@ def cbc_construct(
         for ell in range(min(d, cap), 0, -1):
             P[:, ell] += b * omega_best * P[:, ell - 1]
         errors[d - 1] = float((P[:, 1 : cap + 1] * gammas[1 : cap + 1]).sum()) / n
+    if not np.isfinite(errors).all():
+        d = int(np.argmin(np.isfinite(errors))) + 1
+        raise ValueError(f"worst-case error is not finite from dimension {d} on: "
+                         "the POD weights overflow a float")
     if return_errors:
         return z, errors
     return z
@@ -371,12 +391,11 @@ class RmseStudyResult:
     qmc: list[ErrorRecord]
     mc: list[ErrorRecord]
     reference: float
-    z_by_level: dict[int, np.ndarray]
 
 
-def default_weights(model: CoefficientModel, s: int, theta: float = 0.6) -> PODWeights:
-    """POD weights matched to a model: its Gevrey order and beta_j = j^-5."""
-    return PODWeights(model.gevrey_order, theta, parse_beta_rule("j^-5", s))
+def default_weights(model: CoefficientModel, s: int) -> PODWeights:
+    """POD weights matched to a model: its Gevrey order, theta = 0.6 and beta_j = j^-5."""
+    return PODWeights(model.gevrey_order, 0.6, parse_beta_rule("j^-5", s))
 
 
 def _relative_rmse(reference: float, estimates: np.ndarray) -> float:
@@ -474,7 +493,7 @@ def rmse_study(
             for n, reps in zip(n_list, per_level_mc)
         ]
 
-    return RmseStudyResult(qmc_records, mc_records, reference, vectors)
+    return RmseStudyResult(qmc_records, mc_records, reference)
 
 
 def mc_study(

@@ -61,8 +61,8 @@ class TestModels:
         model = model_by_name("gl-analytic")
         x1, x2 = np.array([0.3]), np.array([0.7])
         assert a_at(model, (0.5, 0.5), [0.0]) == pytest.approx(2.0, abs=1e-15)
-        assert model.c(x1, x2, [0.4])[0] == 1.0
-        assert model.b(x1, x2, [0.4])[0] == 0.0
+        assert model.c(x1, x2)[0] == 1.0
+        assert model.b(x1, x2)[0] == 0.0
 
     def test_qmc_analytic_at_zero(self):
         model = model_by_name("qmc-analytic")
@@ -96,8 +96,8 @@ class TestModels:
                     y = np.maximum(y, -0.9999)
                 a = model.a_cached(model.precompute(x1, x2), y)
                 assert np.all(a >= b.a_lo - 1e-12) and np.all(a <= b.a_hi + 1e-12)
-                assert np.all(model.b(x1, x2, y) >= b.b_lo - 1e-12)
-                c = model.c(x1, x2, y)
+                assert np.all(model.b(x1, x2) >= b.b_lo - 1e-12)
+                c = model.c(x1, x2)
                 assert np.all(c >= b.c_lo - 1e-12) and np.all(c <= b.c_hi + 1e-12)
 
     def test_gevrey2_endpoint_limit(self):

@@ -53,13 +53,11 @@ class TestClassifyDecay:
         assert fit.delta == 1.0
         assert fit.rate == pytest.approx(2.0, rel=1e-8)
         assert fit.goodness >= 0.999
-        assert fit.model == "analytic"
 
     def test_synthetic_gevrey3(self):
         k = np.arange(30)
         fit = classify_decay(np.exp(-2.0 * k ** (1.0 / 3.0)))
         assert fit.delta == 3.0
-        assert fit.model == "gevrey"
 
     def test_planted_recovery_randomized(self):
         rng = np.random.default_rng(11)

@@ -80,7 +80,7 @@ class TestAssembly:
             mesh = build_mesh(m)
             asm = Assembler(mesh, model)
             scale = mesh.h * mesh.h / 6.0
-            blocks = {name: scale * np.einsum("otk,kpq->otpq", f(mesh.mid_x1, mesh.mid_x2, [0.0]),
+            blocks = {name: scale * np.einsum("otk,kpq->otpq", f(mesh.mid_x1, mesh.mid_x2),
                                               fem._MID_OUTER)
                       for name, f in (("b", model.b), ("c", model.c))}
             M = scatter_blocks(mesh, blocks["c"])

@@ -286,6 +286,12 @@ class TestCli:
                 "config error: flag --delta: delta must be 0 (the model's Gevrey order)"
                 " or a finite value >= 1\n")
         assert not (tmp_path / "d.csv").exists()
+        # cbc has no model order to fall back on: a finite delta >= 1
+        assert main(["cbc", "--s", "4", "--n", "16", "--delta", "inf",
+                     "--out", str(tmp_path / "z.txt")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: flag --delta: delta must be a finite value >= 1\n")
+        assert not (tmp_path / "z.txt").exists()
         # usage errors are validation errors too: usage, message, exit 1
         for argv in (["cbc", "--no-such"], ["checks", "nonsense"],
                      ["gl-study", "--model", "gl-analytic", "--m"]):
@@ -338,6 +344,25 @@ class TestCli:
         assert (s, n) == (3, 16)
         assert len(z) == 3
 
+    def test_weights_past_float_range_are_bad_input(self, tmp_path, capsys):
+        # an order weight that overflows, or products of finite factors that do:
+        # exit 1 with one message line, and no output file
+        out = str(tmp_path / "out.txt")
+        for argv, msg in (
+            (["cbc", "--s", "40", "--n", "16", "--delta", "50"],
+             "POD order weight (9!)^62.5 overflows a float (delta = 50.0, theta = 0.6)"),
+            (["qmc-study", "--model", "qmc-analytic", "--m", "4", "--s", "4",
+              "--levels", "1..2", "--shifts", "2", "--mc-shifts", "2", "--delta", "1e308"],
+             "POD order weight (2!)^1.25e+308 overflows a float (delta = 1e+308, theta = 0.6)"),
+            (["cbc", "--s", "4", "--n", "16", "--theta", "1", "--beta", "1e300*j^-1"],
+             "worst-case error is not finite from dimension 2 on: "
+             "the POD weights overflow a float"),
+        ):
+            with np.errstate(all="ignore"):
+                assert main(argv + ["--out", out]) == 1
+            assert capsys.readouterr().err == f"invalid input: {msg}\n"
+            assert not (tmp_path / "out.txt").exists()
+
     def test_gl_study_determinism(self, tmp_path, capsys):
         outs = []
         for name in ("r1.csv", "r2.csv"):
@@ -376,6 +401,33 @@ class TestCli:
             out = tmp_path / "q.csv"
             assert main(run + extra + ["--out", str(out)]) == 0
             assert f"# vectors = {line}\n" in out.read_text()
+
+    def test_study_metadata_blocks(self, tmp_path, capsys):
+        # the '# key = value' block and the header row, in order, per study
+        runs = (
+            (["gl-study", "--model", "constant", "--m", "4", "--n-min", "1",
+              "--n-max", "4", "--n-star", "6"],
+             ["experiment = gl-study", "model = constant", "m = 4", "n_star = 6",
+              "tol = 1e-14"], "n,error"),
+            (["qmc-study", "--model", "qmc-analytic", "--m", "4", "--s", "3",
+              "--levels", "1..2", "--shifts", "2", "--mc-shifts", "2"],
+             ["experiment = qmc-study", "model = qmc-analytic", "m = 4", "s = 3",
+              "shifts = 2", "mc_shifts = 2", "seed = 7193",
+              "vectors = cbc(delta=1.0,theta=0.6,beta=j^-5)"], "n,rmse_qmc,rmse_mc"),
+            (["mc-study", "--model", "constant", "--m", "4", "--s", "2",
+              "--levels", "1..2", "--shifts", "2", "--seed", "3"],
+             ["experiment = mc-study", "model = constant", "m = 4", "s = 2",
+              "shifts = 2", "seed = 3"], "n,rmse_mc"),
+            (["trunc-study", "--model", "qmc-analytic", "--m", "4", "--s-list",
+              "0,1,2", "--ref-s", "4", "--level", "3", "--shifts", "2"],
+             ["experiment = trunc-study", "model = qmc-analytic", "m = 4",
+              "ref_s = 4", "n = 8", "seed = 7193"], "s,error"),
+        )
+        for argv, meta, header in runs:
+            out = tmp_path / "study.csv"
+            assert main(argv + ["--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert lines[: len(meta) + 1] == [f"# {kv}" for kv in meta] + [header]
 
     def test_checks_gevrey_runs_reduced(self, tmp_path, capsys):
         out = tmp_path / "decay.csv"

@@ -78,6 +78,10 @@ class TestPodWeights:
             PODWeights(0.5, 1.0, np.ones(2))
         with pytest.raises(ValueError):
             PODWeights(1.0, 1.0, np.array([1.0, -1.0]))
+        # the Gevrey order is a finite value >= 1, as the config requires
+        for delta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="delta must be a finite value >= 1"):
+                PODWeights(delta, 0.6, [1.0])
         w = PODWeights(1.0, 1.0, np.ones(2))
         with pytest.raises(ValueError):
             pod_weight(w, [3])
@@ -127,6 +131,22 @@ class TestCBC:
         w = PODWeights(1.5, 0.8, np.array([1.0, 0.5, 0.3]))
         z, errs = cbc_construct(3, 8, w, return_errors=True)
         assert errs[-1] == pytest.approx(worst_case_error_sq(z, 8, w), abs=1e-14)
+
+    def test_order_weight_past_float_range_is_named(self):
+        # (9!)^(2 * 50 / 1.6) overflows; both the direct and the log-space path
+        w = PODWeights(50.0, 0.6, parse_beta_rule("j^-5", 40))
+        with pytest.raises(ValueError, match=r"POD order weight \(9!\)\^62.5 overflows"):
+            cbc_construct(40, 16, w)
+        with pytest.raises(ValueError, match=r"POD order weight \(21!\)"):
+            PODWeights(15.0, 0.6, [1.0]).order_factor(21)
+        assert PODWeights(15.0, 0.6, [1.0]).order_factor(2) == 2.0 ** 18.75
+
+    def test_refuses_a_non_finite_error(self):
+        # beta_j = 1e300 / j: each product factor is finite, their products are not
+        w = PODWeights(1.0, 1.0, parse_beta_rule("1e300*j^-1", 4))
+        with np.errstate(all="ignore"), pytest.raises(
+                ValueError, match="not finite from dimension 2 on"):
+            cbc_construct(4, 16, w)
 
     def test_rejects_non_power_of_two(self):
         w = PODWeights(1.0, 1.0, np.ones(2))
