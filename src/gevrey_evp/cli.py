@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="config file path")
         for key, spec in schema.items():
             if experiment == "checks" and key == "which":
-                p.add_argument("which", choices=("combinatorics", "gevrey"))
+                p.add_argument("which", choices=harness._CHECKS)
                 continue
             flag = "--" + key.replace("_", "-")
             if spec.typ == "bool":

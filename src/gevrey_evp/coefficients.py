@@ -84,51 +84,35 @@ class Bounds:
             raise ValueError("upper bounds must dominate lower bounds")
 
 
+# Each built-in kind: (dim, parameter half-width, Gevrey order, Bounds).
+_BUILTIN = {
+    "gl-analytic": (1, 1.0, 1.0, Bounds(1.0, 3.0, 0.0, 0.0, 1.0, 1.0)),
+    "gl-gevrey3": (1, 1.0, 3.0, Bounds(
+        1.0, 1.0 + 2.0 * math.exp(-1.0 / math.sqrt(2.0)), 0.0, 0.0, 1.0, 1.0)),
+    "qmc-analytic": (100, 0.5, 1.0, Bounds(
+        2.0 + 2.0 * math.exp(-1.5 * zeta(5.0)), 2.0 + 2.0 * math.exp(-0.5 * zeta(5.0)),
+        0.0, 0.0, 1.0, 1.0)),
+    "qmc-gevrey2": (100, 0.5, 2.0, Bounds(
+        3.0 - math.exp(-1.0), 3.0 + math.exp(-1.0), 0.0, 0.0, 1.0, 1.0)),
+}
+
+
 class CoefficientModel:
     """One parametric coefficient field (a, b, c) with certified bounds.
 
     ``kind`` is one of gl-analytic, gl-gevrey3, qmc-analytic, qmc-gevrey2,
     constant, custom.  The gl kinds take a single parameter in [-1, 1]; the
-    qmc kinds take up to ``dim`` parameters in [-1/2, 1/2] (missing trailing
-    components are treated as zero).  Instances are immutable and safe to
-    share; evaluation methods are pure.
+    qmc kinds take up to 100 parameters in [-1/2, 1/2] (missing trailing
+    components are treated as zero).  The custom kind is 2 plus a sine
+    series with the ``indices`` and ``amplitudes`` params.  Instances are
+    immutable and safe to share; evaluation methods are pure.
     """
 
     def __init__(self, kind: str, params: dict | None = None):
         self.kind = kind
         self.params = dict(params or {})
-        if kind == "gl-analytic":
-            self.dim = 1
-            self.param_halfwidth = 1.0
-            self.gevrey_order = 1.0
-            self.bounds = Bounds(1.0, 3.0, 0.0, 0.0, 1.0, 1.0)
-        elif kind == "gl-gevrey3":
-            self.dim = 1
-            self.param_halfwidth = 1.0
-            self.gevrey_order = 3.0
-            self.bounds = Bounds(
-                1.0, 1.0 + 2.0 * math.exp(-1.0 / math.sqrt(2.0)), 0.0, 0.0, 1.0, 1.0
-            )
-        elif kind == "qmc-analytic":
-            self.dim = int(self.params.get("dim", 100))
-            self.param_halfwidth = 0.5
-            self.gevrey_order = 1.0
-            z5 = zeta(5.0)
-            self.bounds = Bounds(
-                2.0 + 2.0 * math.exp(-1.5 * z5),
-                2.0 + 2.0 * math.exp(-0.5 * z5),
-                0.0,
-                0.0,
-                1.0,
-                1.0,
-            )
-        elif kind == "qmc-gevrey2":
-            self.dim = int(self.params.get("dim", 100))
-            self.param_halfwidth = 0.5
-            self.gevrey_order = 2.0
-            self.bounds = Bounds(
-                3.0 - math.exp(-1.0), 3.0 + math.exp(-1.0), 0.0, 0.0, 1.0, 1.0
-            )
+        if kind in _BUILTIN:
+            self.dim, self.param_halfwidth, self.gevrey_order, self.bounds = _BUILTIN[kind]
         elif kind == "constant":
             a = float(self.params.get("a", 1.0))
             b = float(self.params.get("b", 0.0))
@@ -141,19 +125,18 @@ class CoefficientModel:
         elif kind == "custom":
             idx = np.asarray(self.params["indices"], dtype=int)
             amp = np.asarray(self.params["amplitudes"], dtype=float)
-            base = float(self.params.get("base", 2.0))
             if idx.ndim != 1 or idx.shape != amp.shape or idx.size == 0:
                 raise ValueError("custom model needs matching 1-d index/amplitude tables")
             if np.any(idx < 1):
                 raise ValueError("custom series indices must be >= 1")
-            self.params = {"indices": idx, "amplitudes": amp, "base": base}
+            self.params = {"indices": idx, "amplitudes": amp}
             self.dim = int(idx.size)
             self.param_halfwidth = 0.5
             self.gevrey_order = 1.0
             spread = 0.5 * float(np.sum(np.abs(amp)))
-            if base - spread <= 0:
+            if 2.0 - spread <= 0:
                 raise ValueError("custom series is not uniformly positive")
-            self.bounds = Bounds(base - spread, base + spread, 0.0, 0.0, 1.0, 1.0)
+            self.bounds = Bounds(2.0 - spread, 2.0 + spread, 0.0, 0.0, 1.0, 1.0)
         else:
             raise ValueError(f"unknown coefficient model kind {kind!r}")
 
@@ -218,7 +201,7 @@ class CoefficientModel:
         if kind == "qmc-gevrey2":
             return 3.0 + _series(cache, _gevrey2_transform(yv)) / zeta(5.0)
         if kind == "custom":
-            return self.params["base"] + _series(cache, yv)
+            return 2.0 + _series(cache, yv)
         if kind == "constant":
             return np.full(cache["shape"], self.params["a"])
         raise AssertionError(kind)
@@ -257,13 +240,7 @@ def _gevrey2_transform(y: np.ndarray) -> np.ndarray:
     return out
 
 
-MODEL_NAMES = (
-    "gl-analytic",
-    "gl-gevrey3",
-    "qmc-analytic",
-    "qmc-gevrey2",
-    "constant",
-)
+MODEL_NAMES = (*_BUILTIN, "constant")
 
 
 def model_by_name(name: str, **params) -> CoefficientModel:

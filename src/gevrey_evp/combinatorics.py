@@ -41,11 +41,7 @@ class Multiindex:
 
     __slots__ = ("_entries",)
 
-    def __init__(
-        self,
-        entries: Iterable[int] | dict[int, int] = (),
-        support_cap: int | None = None,
-    ):
+    def __init__(self, entries: Iterable[int] | dict[int, int] = ()):
         if isinstance(entries, dict):
             items = entries.items()
         else:
@@ -61,10 +57,9 @@ class Multiindex:
             if v:
                 cleaned[j] = v
         self._entries = dict(sorted(cleaned.items()))
-        cap = SUPPORT_CAP if support_cap is None else int(support_cap)
-        if len(self._entries) > cap:
+        if len(self._entries) > SUPPORT_CAP:
             raise ValueError(
-                f"support size {len(self._entries)} exceeds cap {cap}"
+                f"support size {len(self._entries)} exceeds cap {SUPPORT_CAP}"
             )
 
     @property
@@ -97,11 +92,7 @@ class Multiindex:
     def __sub__(self, other: "Multiindex") -> "Multiindex":
         if not other <= self:
             raise ValueError("can only subtract a componentwise smaller multiindex")
-        # differences never enlarge the support, so inherit this cap
-        return Multiindex(
-            {j: self[j] - other[j] for j in self._entries},
-            support_cap=len(self._entries),
-        )
+        return Multiindex({j: self[j] - other[j] for j in self._entries})
 
     def binom(self, m: "Multiindex") -> int:
         """Multiindex binomial coefficient C(self, m), exact integer."""
@@ -117,7 +108,7 @@ class Multiindex:
         dims = self.support
         ranges = [range(self[j] + 1) for j in dims]
         for combo in itertools.product(*ranges):
-            yield Multiindex(dict(zip(dims, combo)), support_cap=len(dims))
+            yield Multiindex(dict(zip(dims, combo)))
 
     def slice(self, r: int) -> Iterator["Multiindex"]:
         """All m <= self with |m| = r."""

@@ -66,6 +66,7 @@ _DELTA = _Field("float", 0.0, lambda v: None if v == 0.0 or not _delta_problem(v
                 else "delta must be 0 (the model's Gevrey order) or a finite value >= 1")
 _LEVELS = _Field("intpair", (4, 10), lambda v: None if 1 <= v[0] <= v[1]
                  else f"levels {v[0]}..{v[1]} must satisfy 1 <= lo <= hi")
+_CHECKS = ("combinatorics", "gevrey")  # the `which` of checks; also argparse's choices
 
 _EXPERIMENTS: dict[str, dict[str, _Field]] = {
     "gl-study": {
@@ -122,9 +123,8 @@ _EXPERIMENTS: dict[str, dict[str, _Field]] = {
         "out": _Field("str", "trunc_study.csv"),
     },
     "checks": {
-        "which": _Field("str", None, lambda v: None
-                        if v in ("combinatorics", "gevrey")
-                        else f"which must be combinatorics or gevrey, got {v!r}"),
+        "which": _Field("str", None, lambda v: None if v in _CHECKS
+                        else f"which must be {' or '.join(_CHECKS)}, got {v!r}"),
         "n_max": _Field("int", 60, _at_least("n_max", 2)),
         "nu_max": _Field("int", 8, _at_least("nu_max", 1)),
         "model": _Field("str", "gl-analytic", _model_name),

@@ -208,6 +208,7 @@ def _candidate_scorer(n: int, vals: np.ndarray) -> Callable[[np.ndarray], np.nda
     return scores
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def cbc_construct(
     s: int,
     n: int,
@@ -531,9 +532,10 @@ def truncation_study(
 ) -> list[tuple[int, float]]:
     """Truncation-dimension errors |I_ref - I_s| of the mean eigenvalue.
 
-    I_s applies the fixed high-accuracy reference rule to the s-truncated
-    integrand (parameters beyond s set to zero); I_ref applies it to the
-    untruncated ``rule.s``-dimensional integrand.
+    I_s applies the s-dimensional sub-rule of the fixed high-accuracy
+    reference rule (its points are the first s coordinates of the rule's
+    points; the model sets the parameters beyond s to zero); I_ref applies
+    the rule itself to the untruncated ``rule.s``-dimensional integrand.
     """
     s_list = [int(s) for s in s_list]
     if not s_list or sorted(s_list) != s_list:
@@ -546,9 +548,8 @@ def truncation_study(
     reference = qmc_estimate(lam, rule)[0]
     records = []
     for s in s_list:
-        keep = np.arange(rule.s) < s
-        truncated = qmc_estimate(lambda y: lam(np.where(keep, y, 0.0)), rule)[0]
-        records.append((s, abs(reference - truncated)))
+        sub_rule = LatticeRule(s, rule.n, rule.z[:s], rule.shifts[:, :s])
+        records.append((s, abs(reference - qmc_estimate(lam, sub_rule)[0])))
     return records
 
 

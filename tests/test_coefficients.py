@@ -57,6 +57,30 @@ def a_at(model, x, y):
 
 
 class TestModels:
+    def test_descriptions_are_exact(self, tmp_path):
+        assert MODEL_NAMES == (
+            "gl-analytic", "gl-gevrey3", "qmc-analytic", "qmc-gevrey2", "constant")
+        # (dim, param_halfwidth, gevrey_order, a_lo, a_hi, b_lo, b_hi, c_lo, c_hi)
+        expected = {
+            "gl-analytic": (1, 1.0, 1.0, 1.0, 3.0, 0.0, 0.0, 1.0, 1.0),
+            "gl-gevrey3": (1, 1.0, 3.0, 1.0, 1.9861373827904796, 0.0, 0.0, 1.0, 1.0),
+            "qmc-analytic": (
+                100, 0.5, 1.0, 2.422213380326506, 3.1908690122282133, 0.0, 0.0, 1.0, 1.0),
+            "qmc-gevrey2": (
+                100, 0.5, 2.0, 2.6321205588285577, 3.3678794411714423, 0.0, 0.0, 1.0, 1.0),
+            "constant": (1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0),
+            "custom": (2, 0.5, 1.0, 1.625, 2.375, 0.0, 0.0, 1.0, 1.0),
+        }
+        path = tmp_path / "series.txt"
+        path.write_text("1 0.5\n3 -0.25\n")
+        models = {name: model_by_name(name) for name in MODEL_NAMES}
+        models["custom"] = load_custom_model(path)
+        for name, model in models.items():
+            b = model.bounds
+            got = (model.dim, model.param_halfwidth, model.gevrey_order,
+                   b.a_lo, b.a_hi, b.b_lo, b.b_hi, b.c_lo, b.c_hi)
+            assert got == expected[name], name
+
     def test_gl_analytic_point_values(self):
         model = model_by_name("gl-analytic")
         x1, x2 = np.array([0.3]), np.array([0.7])
@@ -117,8 +141,7 @@ class TestModels:
             model_by_name("qmc-analytic").pad_y([0.0, 0.6])
         with pytest.raises(ValueError, match="at most 100 parameters"):
             model_by_name("qmc-analytic").pad_y(np.zeros(101))
-        custom = CoefficientModel(
-            "custom", {"indices": [1, 3], "amplitudes": [0.5, 0.25], "base": 2.0})
+        custom = CoefficientModel("custom", {"indices": [1, 3], "amplitudes": [0.5, 0.25]})
         for model in [model_by_name(name) for name in MODEL_NAMES] + [custom]:
             # abs(nan) > halfwidth is False, so the box test alone lets NaN in
             for bad in ([np.nan], [0.0, np.inf], [-np.inf]):
@@ -140,9 +163,7 @@ class TestModels:
 
     def test_custom_model_must_stay_positive(self):
         with pytest.raises(ValueError):
-            CoefficientModel(
-                "custom", {"indices": [1], "amplitudes": [10.0], "base": 1.0}
-            )
+            CoefficientModel("custom", {"indices": [1], "amplitudes": [10.0]})
 
 
 class TestSeriesField:
@@ -180,7 +201,7 @@ class TestSeriesField:
 
     def test_custom_with_gaps_in_the_indices(self):
         idx, amp = [1, 3, 7], [0.4, -0.3, 0.2]
-        model = CoefficientModel("custom", {"indices": idx, "amplitudes": amp, "base": 2.0})
+        model = CoefficientModel("custom", {"indices": idx, "amplitudes": amp})
         for y in self._samples(model) + [[0.0, 0.0, 0.5]]:
             series = sine_series(idx, amp, self.X1, self.X2, model.pad_y(y))
             self._assert_field(model, y, 2.0 + series)

@@ -108,9 +108,6 @@ class TestMultiindex:
     def test_support_cap(self):
         with pytest.raises(ValueError):
             Multiindex([1] * 9)
-        wide = Multiindex([1] * 12, support_cap=12)  # cap is configurable
-        assert wide.order() == 12
-        assert (wide - Multiindex([1], support_cap=12)).order() == 11
 
 
 class TestVandermondeSlice:

@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = -1,2\n")
         assert err.value.violations == ["line 3: s_list entries must be >= 0, got -1"]
+        with pytest.raises(ConfigError) as err:
+            parse_config("[checks]\nwhich = nonsense\n")
+        assert err.value.violations == [
+            "line 2: which must be combinatorics or gevrey, got 'nonsense'"]
         assert parse_config("[trunc-study]\nmodel = qmc-analytic\ns_list = 0,2\n")[
             "s_list"] == (0, 2)
 
@@ -358,7 +363,8 @@ class TestCli:
              "worst-case error is not finite from dimension 2 on: "
              "the POD weights overflow a float"),
         ):
-            with np.errstate(all="ignore"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warnings are not output
                 assert main(argv + ["--out", out]) == 1
             assert capsys.readouterr().err == f"invalid input: {msg}\n"
             assert not (tmp_path / "out.txt").exists()

@@ -341,8 +341,7 @@ class TestStudies:
         model = CoefficientModel(
             "custom",
             {"indices": list(range(1, 9)),
-             "amplitudes": [0.5] + [0.0] * 7,
-             "base": 2.0},
+             "amplitudes": [0.5] + [0.0] * 7},
         )
         w = PODWeights(1.0, 0.8, np.ones(8))
         rule = make_lattice_rule(8, 16, z=cbc_construct(8, 16, w), R=2, master_seed=6)
@@ -376,6 +375,36 @@ class TestStudies:
         with pytest.raises(ValueError, match="s_list entries must be >= 0, got -1"):
             truncation_study(model, 4, [-1, 2], rule)
         assert [s for s, _ in truncation_study(model, 4, [0, 2], rule)] == [0, 2]
+
+    def test_truncation_failure_names_the_solved_y(self, monkeypatch):
+        # the "system" at y is y itself; the first solve of the s = 1 pass
+        # (after 2 x 8 reference solves) fails
+        last = EigenPair(1.0, np.ones(1), 1.0, 3)
+        solved = []
+
+        class Assembler:
+            def __init__(self, mesh, model):
+                pass
+
+            def system(self, y):
+                return np.array(y)
+
+        def smallest_eigenpair(y, tol):
+            solved.append(y)
+            if len(solved) > 16:
+                raise EigenSolveError("stub failure", last=last)
+            return EigenPair(1.0, np.ones(1), 0.0, 1)
+
+        monkeypatch.setattr("gevrey_evp.qmc.Assembler", Assembler)
+        monkeypatch.setattr("gevrey_evp.qmc.smallest_eigenpair", smallest_eigenpair)
+        rule = make_lattice_rule(4, 8, z=[1, 3, 5, 7], R=2, master_seed=5)
+        with pytest.raises(EigenSolveError) as err:
+            truncation_study(model_by_name("qmc-analytic"), 4, [1, 2], rule)
+        y = solved[-1]
+        assert y.shape == (1,) and y[0] == lattice_points(rule, 0)[0][0]
+        assert str(err.value) == (
+            f"integrand failed at shift 0, point 1 (y={y!r}): stub failure")
+        assert err.value.last is last
 
     def test_mc_study_records(self):
         records = mc_study(model_by_name("constant"), 4, 2, [4, 8], 3, 5, tol=1e-12)
