@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dsygvd
 
-from .fem import Assembler, SparseSystem, build_mesh
+from .fem import Assembler, SparseSystem, _csr_matvec, build_mesh
 
 __all__ = [
     "EigenPair",
@@ -191,10 +191,10 @@ def _iterate(
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     _check_system(sys)
-    A, M, precondition = sys.A, sys.M, sys.precondition
+    A, M, precondition = _csr_matvec(sys.A), _csr_matvec(sys.M), sys.precondition
     X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
     rows = 2  # x and w; p joins after the first step
-    Mu = None if deflate is None else M @ deflate
+    Mu = None if deflate is None else M(deflate)
 
     def project(v):
         if deflate is not None:
@@ -204,7 +204,7 @@ def _iterate(
 
     def accept(v):
         """M-normalize v into row 0; its Rayleigh quotient and residual."""
-        Av, Mv = A @ v, M @ v
+        Av, Mv = A(v), M(v)
         nrm2 = float(v @ Mv)
         if not np.isfinite(nrm2) or nrm2 <= 0.0:
             raise EigenSolveError("iterate collapsed (singular M)")
@@ -220,7 +220,7 @@ def _iterate(
     eps = float(np.finfo(float).eps)
     for it in range(1, max_iter + 1):
         X[1] = project(precondition(r))
-        AX[1], MX[1] = A @ X[1], M @ X[1]
+        AX[1], MX[1] = A(X[1]), M(X[1])
         scale = np.einsum("ij,ij->i", X[1:rows], MX[1:rows])
         scale = (np.where(scale > 0.0, scale, 1.0) ** -0.5)[:, None]
         for Z in (X, AX, MX):

@@ -21,6 +21,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .coefficients import CHI1, CoefficientModel
 
@@ -129,6 +130,23 @@ def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
     return precondition
 
 
+def _csr_matvec(mat: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """v -> mat @ v, bound once: the kernel ``@`` runs, without its dispatch.
+
+    ``csr_matvec`` adds mat @ v into a zeroed float vector, as scipy's
+    ``_matmul_vector`` does, so the product is bitwise that of ``@``.
+    """
+    n_row, n_col = mat.shape
+    indptr, indices, data = mat.indptr, mat.indices, mat.data
+
+    def product(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(n_row)
+        csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+        return out
+
+    return product
+
+
 def _position_index(m: int):
     """CSR pattern of the mesh matrices, and the slot of every local entry.
 
@@ -218,9 +236,11 @@ class Assembler:
         ).tocsr()
         stiff.eliminate_zeros()
         end = stiff.indptr[nnz]
-        self._map = sp.csr_matrix(
+        self._map = _csr_matvec(sp.csr_matrix(
             (stiff.data[:end], stiff.indices[:end], stiff.indptr[: nnz + 1]), shape=(nnz, cols)
-        )
+        ))
+        # the pattern is fixed, so the diagonal of A is its data at fixed slots
+        self._diag_slots = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
         # conforming P1 with frozen coefficients in the certified ranges:
         # lambda1_h >= (a_lo / c_hi) * lambda1 of the Laplacian = CHI1 a_lo / c_hi
         self._shift = CHI1 * model.bounds.a_lo / model.bounds.c_hi
@@ -236,11 +256,11 @@ class Assembler:
     def system(self, y) -> SparseSystem:
         a = self.model.a_cached(self._a_cache, y)
         a_mean = (a[..., 0] + a[..., 1] + a[..., 2]) / 3.0  # the bits of mean(axis=2)
-        data = self._map @ a_mean.ravel() + self._b_data
+        data = self._map(a_mean.ravel()) + self._b_data
         n = self.mesh.n_dof
         A = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
         k = self.mesh.m - 1
-        d = (0.25 * A.diagonal()).reshape(k, k) ** -0.5
+        d = (0.25 * data[self._diag_slots]).reshape(k, k) ** -0.5
         denom = self._sine_spectrum - self._mass_shift / a_mean.mean()
         T = _sine_preconditioner(self._sine, denom, d)
         return SparseSystem(A, self._M, self._shift, T, (d * self._mode).ravel())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from support import scatter_blocks, stiffness_map
+from support import random_spd_pair, scatter_blocks, stiffness_map
 
 from gevrey_evp import fem
 from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
@@ -97,6 +97,7 @@ class TestAssembly:
                 a_mean = model.a_cached(cache, y).mean(axis=2)
                 ref = scatter_blocks(mesh, np.einsum("ot,opq->otpq", a_mean, g) + blocks["b"])
                 A = asm.system(y).A
+                assert np.array_equal(A.data[asm._diag_slots], A.diagonal())
                 assert np.array_equal(A.indptr, ref.indptr)
                 assert np.array_equal(A.indices, ref.indices)
                 # a diagonal entry sums six exact products, and COO -> CSR adds
@@ -118,6 +119,22 @@ class TestAssembly:
         for _ in range(100):
             v = rng.standard_normal(mesh.n_dof)
             assert a_lo * (v @ (a0 @ v)) <= v @ (sysm.A @ v) + 1e-10
+
+
+class TestBoundProduct:
+    def test_bitwise_equal_to_matmul(self):
+        # the product calls scipy's private kernel behind ``@``; a scipy
+        # release that moves or changes it fails here
+        rng = np.random.default_rng(5)
+        model = model_by_name("qmc-analytic")
+        systems = [assemble(build_mesh(m), model, rng.random(20) - 0.5) for m in (8, 32)]
+        systems.append(random_spd_pair(rng, 12))
+        for sysm in systems:
+            rows = rng.standard_normal((3, sysm.n_dof))  # the solver passes row views
+            for mat in (sysm.A, sysm.M):
+                product = fem._csr_matvec(mat)
+                for v in (rng.standard_normal(sysm.n_dof), rows[1]):
+                    assert np.array_equal(product(v), mat @ v)
 
 
 class TestLaplaceReference:
