@@ -7,8 +7,8 @@ Comput. 23, 2001): every step takes the Rayleigh-Ritz pair of the basis
 direction.  T and the start are the system's own,
 ``SparseSystem.precondition`` and ``SparseSystem.start``: on a mesh system
 (``fem.Assembler``) a fast-sine solve spectrally equivalent to
-(A - sigma M)^-1, four dense GEMMs of order m - 1, and the lowest sine mode
-scaled by diag(A)^-1/2.  The solver factors nothing.
+(A - sigma M)^-1 (four dense GEMMs of order m - 1, with 0.9 sigma), and the
+lowest sine mode scaled by diag(A)^-1/2.  The solver factors nothing.
 
 The second pair comes from the same loop, deflated: its start, every T r
 and every iterate are M-projected against the first eigenvector, so it
@@ -22,10 +22,10 @@ Both tests are relative, so they mean the same at any eigenvalue scale.
 ``EigenPair.exit_reason`` names the exit that accepted a pair.
 
 The shift is the system's certified lower bound sigma on lambda1
-(``SparseSystem.shift``); a lambda1 not above sigma raises
-``EigenSolveError`` naming sigma.  Each solve holds OpenBLAS at one thread
-while it runs, so that the rounding of its dot products and GEMMs does not
-depend on the thread count.
+(``SparseSystem.shift``), on a mesh system sigma(y) = 2 pi^2 min_T a_T(y) /
+c_hi; a lambda1 not above sigma raises ``EigenSolveError`` naming sigma.
+Each solve holds OpenBLAS at one thread while it runs, so that the rounding
+of its dot products and GEMMs does not depend on the thread count.
 """
 
 from __future__ import annotations

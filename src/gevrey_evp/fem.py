@@ -97,10 +97,11 @@ class SparseSystem:
     """Stiffness-plus-reaction matrix A and weighted mass matrix M (CSR).
 
     The rest is what the eigensolver needs and cannot derive: ``shift``, a
-    certified strict lower bound sigma on the smallest eigenvalue;
-    ``precondition``, a map from a residual vector to a search direction,
-    approximately (A - sigma M)^-1 applied to it; and ``start``, the first
-    iterate of a lambda1 solve, close to the first eigenvector.
+    certified strict lower bound sigma on the smallest eigenvalue (on a mesh
+    system sigma(y) = 2 pi^2 min_T a_T(y) / c_hi); ``precondition``, a map
+    from a residual vector to a search direction, approximately
+    (A - sigma M)^-1 applied to it; and ``start``, the first iterate of a
+    lambda1 solve, close to the first eigenvector.
     ``Assembler.system`` supplies all three; a system built by other means
     supplies its own.
     """
@@ -131,17 +132,12 @@ def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
 
 
 def _csr_matvec(mat: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> mat @ v, bound once: the kernel ``@`` runs, without its dispatch.
-
-    ``csr_matvec`` adds mat @ v into a zeroed float vector, as scipy's
-    ``_matmul_vector`` does, so the product is bitwise that of ``@``.
-    """
+    """v -> mat @ v, bit for bit: the kernel of ``@``, bound once, without its dispatch."""
     n_row, n_col = mat.shape
-    indptr, indices, data = mat.indptr, mat.indices, mat.data
 
     def product(v: np.ndarray) -> np.ndarray:
         out = np.zeros(n_row)
-        csr_matvec(n_row, n_col, indptr, indices, data, v, out)
+        csr_matvec(n_row, n_col, mat.indptr, mat.indices, mat.data, v, out)
         return out
 
     return product
@@ -192,7 +188,12 @@ class Assembler:
     product of a fixed map with the per-triangle mean diffusion, plus the
     cached reaction data.  One position index, the CSR slot of every local
     entry (``_position_index``), gives the pattern, the mass and reaction
-    data (one ``np.bincount`` each) and the map.
+    data (one ``np.bincount`` each), the map and the slots of A's diagonal.
+
+    Every system checks a_lo <= a_T(y) <= a_hi (the certified range, up to
+    the rounding of the three-point mean; ``ValueError`` names y and the
+    bound).  As A(y) >= min_T a_T(y) K_1 and M <= c_hi M_1, its shift is
+    sigma(y) = 2 pi^2 min_T a_T(y) / c_hi, not below 2 pi^2 a_lo / c_hi.
 
     Every system carries a fast-sine preconditioner for the lambda1 solver.
     For a == 1 the P1 stiffness on this mesh is the 5-point stencil, which
@@ -200,9 +201,9 @@ class Assembler:
     + 4 sin^2(k pi/2m), and the mass of c == 1 is about h^2 I.  Scaled by the
     nodal diffusion D = diag(A)/4, the preconditioner
 
-        T = D^-1/2 S (Lambda - 0.9 sigma h^2 c_mean / a_mean)^-1 S D^-1/2
+        T = D^-1/2 S (Lambda - 0.9 sigma(y) h^2 c_mean / a_mean)^-1 S D^-1/2
 
-    is spectrally equivalent to (A - sigma M)^-1 (Knyazev & Neymeyr, Linear
+    is spectrally equivalent to (A - sigma(y) M)^-1 (Knyazev & Neymeyr, Linear
     Algebra Appl. 358, 2003), where a_mean is the mean of the per-triangle
     diffusion at y and c_mean that of the mass weight.  The same S gives each
     system's start vector, D^-1/2 times the lowest mode, sin(pi x1) sin(pi x2)
@@ -239,11 +240,9 @@ class Assembler:
         self._map = _csr_matvec(sp.csr_matrix(
             (stiff.data[:end], stiff.indices[:end], stiff.indptr[: nnz + 1]), shape=(nnz, cols)
         ))
-        # the pattern is fixed, so the diagonal of A is its data at fixed slots
         self._diag_slots = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
-        # conforming P1 with frozen coefficients in the certified ranges:
-        # lambda1_h >= (a_lo / c_hi) * lambda1 of the Laplacian = CHI1 a_lo / c_hi
-        self._shift = CHI1 * model.bounds.a_lo / model.bounds.c_hi
+        # about 4 ulps for the three-point mean: a == 0.1 gives (a+a+a)/3 < a
+        self._a_range = (model.bounds.a_lo * (1 - 1e-15), model.bounds.a_hi * (1 + 1e-15))
         k = np.arange(1, mesh.m)
         # sin(jk pi/m) with jk reduced mod 2m first, so no argument exceeds 2 pi
         phase = np.outer(k, k) % (2 * mesh.m) * (np.pi / mesh.m)
@@ -251,19 +250,26 @@ class Assembler:
         lam = 4.0 * np.sin(k * (np.pi / (2 * mesh.m))) ** 2
         self._sine_spectrum = lam[:, None] + lam[None, :]
         self._mode = np.outer(self._sine[:, 0], self._sine[:, 0])
-        self._mass_shift = 0.9 * self._shift * mesh.h * mesh.h * c_mid.mean()
+        self._mass_scale = 0.9 * mesh.h * mesh.h * c_mid.mean()
 
     def system(self, y) -> SparseSystem:
         a = self.model.a_cached(self._a_cache, y)
         a_mean = (a[..., 0] + a[..., 1] + a[..., 2]) / 3.0  # the bits of mean(axis=2)
+        lo, hi = float(a_mean.min()), float(a_mean.max())
+        if not self._a_range[0] <= lo <= hi <= self._a_range[1]:  # NaN fails too
+            b = self.model.bounds
+            bad = (f"max a_T = {hi!r} > a_hi = {b.a_hi!r}" if lo >= self._a_range[0]
+                   else f"min a_T = {lo!r} < a_lo = {b.a_lo!r}")
+            raise ValueError(f"y = {np.ravel(y).tolist()}: {bad}, outside the certified range")
+        shift = CHI1 * lo / self.model.bounds.c_hi
         data = self._map(a_mean.ravel()) + self._b_data
         n = self.mesh.n_dof
         A = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
         k = self.mesh.m - 1
         d = (0.25 * data[self._diag_slots]).reshape(k, k) ** -0.5
-        denom = self._sine_spectrum - self._mass_shift / a_mean.mean()
+        denom = self._sine_spectrum - self._mass_scale * shift / a_mean.mean()
         T = _sine_preconditioner(self._sine, denom, d)
-        return SparseSystem(A, self._M, self._shift, T, (d * self._mode).ravel())
+        return SparseSystem(A, self._M, shift, T, (d * self._mode).ravel())
 
 
 def assemble(mesh: Mesh, model: CoefficientModel, y) -> SparseSystem:

@@ -6,7 +6,7 @@ import scipy.linalg as sla
 
 from support import random_spd_pair, shift_invert, system_from_dense
 
-from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
+from gevrey_evp.coefficients import CHI1, MODEL_NAMES, Bounds, model_by_name
 from gevrey_evp import eigensolver
 from gevrey_evp.eigensolver import (
     EigenPair,
@@ -176,13 +176,39 @@ def _box_corners(model):
 class TestCertifiedShift:
     @pytest.mark.parametrize("name", MODEL_NAMES)
     def test_shift_below_lambda1_at_corners(self, name):
+        # the per-point sigma(y) = CHI1 min_T a_T(y) / c_hi lies between the
+        # global CHI1 a_lo / c_hi and lambda1
         model = model_by_name(name)
+        sigma = CHI1 * model.bounds.a_lo / model.bounds.c_hi
         for m in (8, 16):
             for y in _box_corners(model):
                 sysm = assemble(build_mesh(m), model, y)
                 lam1 = sla.eigh(sysm.A.toarray(), sysm.M.toarray(),
                                 eigvals_only=True, subset_by_index=[0, 0])[0]
-                assert 0.0 < sysm.shift < lam1
+                assert 0.0 < sigma <= sysm.shift < lam1
+
+    @pytest.mark.parametrize("a", [0.1, 1.0 / 3.0, 3.7])
+    def test_constant_field_meets_its_range(self, a):
+        # (a + a + a) / 3 can round below a, as it does for a = 0.1
+        sysm = assemble(build_mesh(8), model_by_name("constant", a=a), [0.0])
+        assert sysm.shift == pytest.approx(CHI1 * a, rel=1e-15)
+        assert smallest_eigenpair(sysm).value > sysm.shift
+
+    def test_field_outside_its_range_raises(self):
+        # gl-analytic is 2 + sin(pi (x1 + x2 + y)); at y = 0.25 and m = 8 its
+        # a_T run from 1.0128... to 2.9871...
+        cases = [((1.5, 3.0), r"min a_T = 1\.0128\d* < a_lo = 1\.5"),
+                 ((1.0, 2.5), r"max a_T = 2\.9871\d* > a_hi = 2\.5")]
+        for (a_lo, a_hi), broken in cases:
+            model = model_by_name("gl-analytic")
+            model.bounds = Bounds(a_lo, a_hi, 0.0, 0.0, 1.0, 1.0)
+            with pytest.raises(ValueError, match=r"^y = \[0\.25\]: " + broken
+                                                 + ", outside the certified range$"):
+                Assembler(build_mesh(8), model).system([0.25])
+        model = model_by_name("gl-analytic")
+        model.a_cached = lambda cache, y: np.full(cache["shape"], np.nan)
+        with pytest.raises(ValueError, match=r"min a_T = nan < a_lo = 1\.0"):
+            Assembler(build_mesh(8), model).system([0.25])
 
     def test_shift_above_lambda1_raises(self):
         sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.4])
@@ -353,8 +379,12 @@ class TestExits:
         assert (p1.exit_reason, p2.exit_reason) == ("floor", "floor")
 
     def test_plateau_exit(self):
-        p1, p2 = self._pairs([-0.6], 1e-20)
-        assert (p1.exit_reason, p2.exit_reason) == ("plateau", "plateau")
+        # no y of a 39-point grid on [-0.95, 0.95] sends both pairs through
+        # the plateau, so each reaches it at a y of its own
+        p1, p2 = self._pairs([-0.3], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("plateau", "floor")
+        p1, p2 = self._pairs([-0.55], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("floor", "plateau")
 
     def test_unconverged_pair_has_no_exit(self):
         sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.0])
