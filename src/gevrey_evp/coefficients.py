@@ -104,27 +104,28 @@ class CoefficientModel:
     constant, custom.  The gl kinds take a single parameter in [-1, 1]; the
     qmc kinds take up to 100 parameters in [-1/2, 1/2] (missing trailing
     components are treated as zero).  The custom kind is 2 plus a sine
-    series with the ``indices`` and ``amplitudes`` params.  Instances are
+    series with the ``indices`` and ``amplitudes`` params, constant with
+    ``a``, ``b``, ``c``; other params raise ``ValueError``.  Instances are
     immutable and safe to share; evaluation methods are pure.
     """
 
     def __init__(self, kind: str, params: dict | None = None):
-        self.kind = kind
-        self.params = dict(params or {})
+        self.kind, self.params = kind, {}
+        given = dict(params or {})
         if kind in _BUILTIN:
             self.dim, self.param_halfwidth, self.gevrey_order, self.bounds = _BUILTIN[kind]
         elif kind == "constant":
-            a = float(self.params.get("a", 1.0))
-            b = float(self.params.get("b", 0.0))
-            c = float(self.params.get("c", 1.0))
+            a = float(given.get("a", 1.0))
+            b = float(given.get("b", 0.0))
+            c = float(given.get("c", 1.0))
             self.params = {"a": a, "b": b, "c": c}
             self.dim = 1
             self.param_halfwidth = 1.0
             self.gevrey_order = 1.0
             self.bounds = Bounds(a, a, b, b, c, c)
         elif kind == "custom":
-            idx = np.asarray(self.params["indices"], dtype=int)
-            amp = np.asarray(self.params["amplitudes"], dtype=float)
+            idx = np.asarray(given["indices"], dtype=int)
+            amp = np.asarray(given["amplitudes"], dtype=float)
             if idx.ndim != 1 or idx.shape != amp.shape or idx.size == 0:
                 raise ValueError("custom model needs matching 1-d index/amplitude tables")
             if np.any(idx < 1):
@@ -139,6 +140,9 @@ class CoefficientModel:
             self.bounds = Bounds(2.0 - spread, 2.0 + spread, 0.0, 0.0, 1.0, 1.0)
         else:
             raise ValueError(f"unknown coefficient model kind {kind!r}")
+        unknown = ", ".join(map(repr, sorted(set(given) - set(self.params))))
+        if unknown:
+            raise ValueError(f"the {kind} model takes no parameter {unknown}")
 
     # -- parameter handling -------------------------------------------------
 

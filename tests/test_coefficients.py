@@ -150,6 +150,16 @@ class TestModels:
         with pytest.raises(ValueError):
             model_by_name("no-such-model")
 
+    def test_rejects_unknown_params(self):
+        # the table kinds take none; constant takes a, b, c; custom its tables
+        for name, params, key in (("qmc-analytic", {"dim": 5}, "dim"),
+                                  ("gl-analytic", {"a": 3.0}, "a"),
+                                  ("constant", {"a": 2.0, "base": 9}, "base")):
+            with pytest.raises(ValueError, match=f"^the {name} model takes no parameter '{key}'$"):
+                model_by_name(name, **params)
+        with pytest.raises(ValueError, match="^the custom model takes no parameter 'base'$"):
+            CoefficientModel("custom", {"indices": [1], "amplitudes": [0.5], "base": 2.0})
+
     def test_custom_model_file(self, tmp_path):
         path = tmp_path / "series.txt"
         path.write_text("# index amplitude\n1 0.5\n3, 0.25\n")
