@@ -7,8 +7,8 @@ Comput. 23, 2001): every step takes the Rayleigh-Ritz pair of the basis
 direction.  T and the start are the system's own,
 ``SparseSystem.precondition`` and ``SparseSystem.start``: on a mesh system
 (``fem.Assembler``) a fast-sine solve spectrally equivalent to
-(A - sigma M)^-1 (four dense GEMMs of order m - 1, with 0.9 sigma), and the
-lowest sine mode scaled by diag(A)^-1/2.  The solver factors nothing.
+(A - sigma(y) M)^-1 (four dense GEMMs of order m - 1, shifted by
+0.9 sigma(y)), and the lowest sine mode scaled by diag(A)^-1/2.  The solver factors nothing.
 
 The second pair comes from the same loop, deflated: its start, every T r
 and every iterate are M-projected against the first eigenvector, so it

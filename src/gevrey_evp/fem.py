@@ -98,12 +98,12 @@ class SparseSystem:
 
     The rest is what the eigensolver needs and cannot derive: ``shift``, a
     certified strict lower bound sigma on the smallest eigenvalue (on a mesh
-    system sigma(y) = 2 pi^2 min_T a_T(y) / c_hi); ``precondition``, a map
-    from a residual vector to a search direction, approximately
-    (A - sigma M)^-1 applied to it; and ``start``, the first iterate of a
-    lambda1 solve, close to the first eigenvector.
-    ``Assembler.system`` supplies all three; a system built by other means
-    supplies its own.
+    system sigma(y) = 2 pi^2 min_T a_T(y) / c_hi, its field checked against
+    the certified range); ``precondition``, a map from a residual vector to
+    a search direction, approximately (A - sigma M)^-1 applied to it; and
+    ``start``, the first iterate of a lambda1 solve, close to the first
+    eigenvector.  ``Assembler.system`` supplies all three; a system built by
+    other means supplies its own.
     """
 
     A: sp.csr_matrix
