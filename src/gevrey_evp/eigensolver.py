@@ -78,7 +78,7 @@ class GapReport:
 
 
 class EigenSolveError(RuntimeError):
-    """Raised on non-convergence or an unusable matrix pair.
+    """Raised on non-convergence or a breakdown of the iteration.
 
     Carries the last iterate (if any) in ``last``.
     """
@@ -148,16 +148,6 @@ def _one_blas_thread():
                     put(n)
 
 
-def _check_system(sys: SparseSystem):
-    if sys.M.shape != sys.A.shape or sys.A.shape[0] != sys.A.shape[1]:
-        raise EigenSolveError(
-            f"M has shape {sys.M.shape} and A {sys.A.shape}, expected one square shape")
-    for name, mat in (("A", sys.A), ("M", sys.M)):
-        d = mat.diagonal()
-        if d.size == 0 or np.any(d <= 0) or not np.all(np.isfinite(mat.data)):
-            raise EigenSolveError(f"{name} is not usable (nonpositive diagonal or NaN)")
-
-
 @_one_blas_thread()
 def _iterate(
     sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int, deflate=None
@@ -190,7 +180,6 @@ def _iterate(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    _check_system(sys)
     A, M, precondition = _csr_matvec(sys.A), _csr_matvec(sys.M), sys.precondition
     X, AX, MX = (np.empty((3, sys.n_dof)) for _ in range(3))
     rows = 2  # x and w; p joins after the first step

@@ -104,6 +104,10 @@ class SparseSystem:
     ``start``, the first iterate of a lambda1 solve, close to the first
     eigenvector.  ``Assembler.system`` supplies all three; a system built by
     other means supplies its own.
+
+    A system checks itself when it is made, ``dataclasses.replace`` copies
+    too: A is square and M has its shape, both diagonals are positive, the
+    data is finite and ``start`` has one entry per dof; else ``ValueError``.
     """
 
     A: sp.csr_matrix
@@ -111,6 +115,17 @@ class SparseSystem:
     shift: float
     precondition: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
+
+    def __post_init__(self):
+        if self.M.shape != self.A.shape or self.A.shape[0] != self.A.shape[1]:
+            raise ValueError(
+                f"M has shape {self.M.shape} and A {self.A.shape}, expected one square shape")
+        for name, mat in (("A", self.A), ("M", self.M)):
+            d = mat.diagonal()
+            if d.size == 0 or np.any(d <= 0) or not np.all(np.isfinite(mat.data)):
+                raise ValueError(f"{name} is not usable (nonpositive diagonal or NaN)")
+        if np.shape(self.start) != (self.n_dof,):
+            raise ValueError(f"start has shape {np.shape(self.start)}, expected ({self.n_dof},)")
 
     @property
     def n_dof(self) -> int:
@@ -132,7 +147,10 @@ def _sine_preconditioner(S: np.ndarray, denom: np.ndarray, d: np.ndarray):
 
 
 def _csr_matvec(mat: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
-    """v -> mat @ v, bit for bit: the kernel of ``@``, bound once, without its dispatch."""
+    """v -> mat @ v, bit for bit: the kernel of ``@``, bound once, without its dispatch.
+
+    The kernel does not check v: the caller guarantees v.shape == (mat.shape[1],).
+    """
     n_row, n_col = mat.shape
 
     def product(v: np.ndarray) -> np.ndarray:

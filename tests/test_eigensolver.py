@@ -117,18 +117,30 @@ class TestContracts:
             second_eigenpair(sysm, p1, max_iter=0)
 
     def test_rejects_indefinite(self):
-        bad = system_from_dense(np.diag([1.0, -2.0]), np.eye(2))
-        with pytest.raises(EigenSolveError):
+        # a nonpositive diagonal is refused when the system is made; an
+        # indefinite A with a positive diagonal, by the loop's own guard
+        with pytest.raises(ValueError, match="A is not usable"):
+            system_from_dense(np.diag([1.0, -2.0]), np.eye(2))
+        bad = system_from_dense(np.array([[1.0, 2.0], [2.0, 3.0]]), np.eye(2))
+        with pytest.raises(EigenSolveError, match=r"nonpositive Rayleigh quotient -0\.236"):
             smallest_eigenpair(bad, tol=1e-12)
 
     def test_rejects_unusable_matrices(self):
         sysm = system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3))
-        with pytest.raises(EigenSolveError, match=r"M has shape \(2, 2\) and A \(3, 3\)"):
-            smallest_eigenpair(replace(sysm, M=sysm.M[:2, :2]))
+        with pytest.raises(ValueError, match=r"M has shape \(2, 2\) and A \(3, 3\)"):
+            replace(sysm, M=sysm.M[:2, :2])
         A = sysm.A.copy()
         A.data[1] = np.nan
-        with pytest.raises(EigenSolveError, match="A is not usable"):
-            smallest_eigenpair(replace(sysm, A=A))
+        with pytest.raises(ValueError, match="A is not usable"):
+            replace(sysm, A=A)
+        with pytest.raises(ValueError, match=r"M is not usable"):
+            replace(sysm, M=-sysm.M)
+
+    def test_rejects_start_of_another_length(self):
+        # the bound product reads v without checking its length
+        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.3])
+        with pytest.raises(ValueError, match=r"^start has shape \(10,\), expected \(49,\)$"):
+            replace(sysm, start=sysm.start[:10])
 
     def test_stopping_is_scale_invariant(self):
         # scaling A and the shift by a power of two is exact, so every
