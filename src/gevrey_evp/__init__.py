@@ -38,14 +38,7 @@ from .eigensolver import (
     second_eigenpair,
     smallest_eigenpair,
 )
-from .fem import (
-    Assembler,
-    Mesh,
-    SparseSystem,
-    assemble,
-    build_mesh,
-    laplace_lambda1_reference,
-)
+from .fem import Assembler, Mesh, SparseSystem, build_mesh
 from .harness import (
     ConfigError,
     RateFit,

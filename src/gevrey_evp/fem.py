@@ -29,9 +29,7 @@ __all__ = [
     "Mesh",
     "SparseSystem",
     "build_mesh",
-    "assemble",
     "Assembler",
-    "laplace_lambda1_reference",
 ]
 
 # Per-orientation local stiffness (h-independent, |T| folded in) for the
@@ -289,12 +287,3 @@ class Assembler:
         T = _sine_preconditioner(self._sine, denom, d)
         return SparseSystem(A, self._M, shift, T, (d * self._mode).ravel())
 
-
-def assemble(mesh: Mesh, model: CoefficientModel, y) -> SparseSystem:
-    """Assemble the generalized eigenproblem matrices at parameter y."""
-    return Assembler(mesh, model).system(y)
-
-
-def laplace_lambda1_reference() -> float:
-    """Smallest Dirichlet-Laplace eigenvalue of the unit square, 2 pi^2."""
-    return CHI1

@@ -39,10 +39,10 @@ def test_criterion_1_combinatorics_exactness():
 def test_criterion_2_fem_sanity():
     t0 = time.time()
     const = g.model_by_name("constant")
-    ref = g.laplace_lambda1_reference()
+    ref = g.CHI1
     lam = {}
     for m in (8, 16, 32, 64):
-        lam[m] = g.smallest_eigenpair(g.assemble(g.build_mesh(m), const, [0.0])).value
+        lam[m] = g.smallest_eigenpair(g.Assembler(g.build_mesh(m), const).system([0.0])).value
     rel64 = abs(lam[64] - ref) / ref
     ratios = [(lam[m] - ref) / (lam[2 * m] - ref) for m in (8, 16, 32)]
     ratios_ok = all(3.6 <= r <= 4.4 for r in ratios)
@@ -75,7 +75,7 @@ def test_criterion_3_eigensolver_oracle():
     ]
     for m in range(3, 12):  # every FEM size with n_dof <= 100
         for name, y in cases:
-            sysm = g.assemble(g.build_mesh(m), g.model_by_name(name), y)
+            sysm = g.Assembler(g.build_mesh(m), g.model_by_name(name)).system(y)
             w = sla.eigh(sysm.A.toarray(), sysm.M.toarray(), eigvals_only=True)
             p1 = g.smallest_eigenpair(sysm, tol=1e-14)
             p2 = g.second_eigenpair(sysm, p1, tol=1e-14)

@@ -15,7 +15,7 @@ from gevrey_evp.eigensolver import (
     second_eigenpair,
     smallest_eigenpair,
 )
-from gevrey_evp.fem import Assembler, assemble, build_mesh
+from gevrey_evp.fem import Assembler, build_mesh
 
 
 class TestDiagonalExamples:
@@ -41,7 +41,7 @@ class TestDiagonalExamples:
 
 class TestOracleAgreement:
     def test_fem_system_m8(self):
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.5])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.5])
         w = sla.eigh(sysm.A.toarray(), sysm.M.toarray(), eigvals_only=True)
         p1 = smallest_eigenpair(sysm, tol=1e-14)
         p2 = second_eigenpair(sysm, p1, tol=1e-14)
@@ -63,23 +63,23 @@ class TestOracleAgreement:
 class TestContracts:
     def test_residual_invariant(self):
         for tol in (1e-12, 1e-14):
-            sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [-0.2])
+            sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([-0.2])
             pair = smallest_eigenpair(sysm, tol=tol)
             assert pair.residual <= 10.0 * tol * pair.value
 
     def test_m_normalization(self):
-        sysm = assemble(build_mesh(10), model_by_name("gl-analytic"), [0.1])
+        sysm = Assembler(build_mesh(10), model_by_name("gl-analytic")).system([0.1])
         pair = smallest_eigenpair(sysm)
         assert pair.vector @ (sysm.M @ pair.vector) == pytest.approx(1.0, abs=1e-12)
 
     def test_deflation_m_orthogonality(self):
-        sysm = assemble(build_mesh(10), model_by_name("gl-analytic"), [0.8])
+        sysm = Assembler(build_mesh(10), model_by_name("gl-analytic")).system([0.8])
         p1 = smallest_eigenpair(sysm, tol=1e-13)
         p2 = second_eigenpair(sysm, p1, tol=1e-13)
         assert abs(p1.vector @ (sysm.M @ p2.vector)) <= 1e-10
 
     def test_determinism(self):
-        sysm = assemble(build_mesh(12), model_by_name("gl-gevrey3"), [0.4])
+        sysm = Assembler(build_mesh(12), model_by_name("gl-gevrey3")).system([0.4])
         a = smallest_eigenpair(sysm, tol=1e-14)
         b = smallest_eigenpair(sysm, tol=1e-14)
         assert a.value == b.value
@@ -90,7 +90,7 @@ class TestContracts:
         const = model_by_name("constant")
         vals = {}
         for m in (16, 32):
-            sysm = assemble(build_mesh(m), const, [0.0])
+            sysm = Assembler(build_mesh(m), const).system([0.0])
             p1 = smallest_eigenpair(sysm, tol=1e-13)
             p2 = second_eigenpair(sysm, p1, tol=1e-10)
             vals[m] = p2.value / p1.value
@@ -98,7 +98,7 @@ class TestContracts:
         assert vals[32] == pytest.approx(2.5, abs=0.02)
 
     def test_failure_carries_last_iterate(self):
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.0])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.0])
         with pytest.raises(EigenSolveError) as err:
             smallest_eigenpair(sysm, tol=1e-30, max_iter=3)
         assert err.value.last is not None
@@ -138,14 +138,14 @@ class TestContracts:
 
     def test_rejects_start_of_another_length(self):
         # the bound product reads v without checking its length
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.3])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.3])
         with pytest.raises(ValueError, match=r"^start has shape \(10,\), expected \(49,\)$"):
             replace(sysm, start=sysm.start[:10])
 
     def test_stopping_is_scale_invariant(self):
         # scaling A and the shift by a power of two is exact, so every
         # iterate is the same and only a relative test stops at the same step
-        sysm = assemble(build_mesh(16), model_by_name("gl-analytic"), [-0.643])
+        sysm = Assembler(build_mesh(16), model_by_name("gl-analytic")).system([-0.643])
         scaled = replace(sysm, A=sysm.A * 1024.0, shift=sysm.shift * 1024.0)
         a = smallest_eigenpair(sysm)
         b = smallest_eigenpair(scaled)
@@ -160,7 +160,7 @@ class TestBlasThreads:
         seen = []
         monkeypatch.setattr(eigensolver, "_BLAS_THREADS",
                             ((lambda: threads[0], lambda n: threads.__setitem__(0, n)),))
-        sysm = assemble(build_mesh(6), model_by_name("constant"), [0.0])
+        sysm = Assembler(build_mesh(6), model_by_name("constant")).system([0.0])
         T = sysm.precondition
         sysm = replace(sysm, precondition=lambda r: seen.append(threads[0]) or T(r))
         with eigensolver._one_blas_thread():
@@ -172,7 +172,7 @@ class TestBlasThreads:
     def test_thread_count_restored(self):
         # an empty tuple (no OpenBLAS found) leaves nothing to restore
         before = [get() for get, _ in eigensolver._BLAS_THREADS]
-        smallest_eigenpair(assemble(build_mesh(6), model_by_name("constant"), [0.0]))
+        smallest_eigenpair(Assembler(build_mesh(6), model_by_name("constant")).system([0.0]))
         assert [get() for get, _ in eigensolver._BLAS_THREADS] == before
 
 
@@ -194,7 +194,7 @@ class TestCertifiedShift:
         sigma = CHI1 * model.bounds.a_lo / model.bounds.c_hi
         for m in (8, 16):
             for y in _box_corners(model):
-                sysm = assemble(build_mesh(m), model, y)
+                sysm = Assembler(build_mesh(m), model).system(y)
                 lam1 = sla.eigh(sysm.A.toarray(), sysm.M.toarray(),
                                 eigvals_only=True, subset_by_index=[0, 0])[0]
                 assert 0.0 < sigma <= sysm.shift < lam1
@@ -202,7 +202,7 @@ class TestCertifiedShift:
     @pytest.mark.parametrize("a", [0.1, 1.0 / 3.0, 3.7])
     def test_constant_field_meets_its_range(self, a):
         # (a + a + a) / 3 can round below a, as it does for a = 0.1
-        sysm = assemble(build_mesh(8), model_by_name("constant", a=a), [0.0])
+        sysm = Assembler(build_mesh(8), model_by_name("constant", a=a)).system([0.0])
         assert sysm.shift == pytest.approx(CHI1 * a, rel=1e-15)
         assert smallest_eigenpair(sysm).value > sysm.shift
 
@@ -223,7 +223,7 @@ class TestCertifiedShift:
             Assembler(build_mesh(8), model).system([0.25])
 
     def test_shift_above_lambda1_raises(self):
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.4])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.4])
         lam1 = smallest_eigenpair(sysm).value
         with pytest.raises(EigenSolveError, match="sigma"):
             smallest_eigenpair(replace(sysm, shift=1.05 * lam1))
@@ -286,13 +286,13 @@ class TestSinePreconditioner:
         iterate = eigensolver._iterate
         monkeypatch.setattr(eigensolver, "_iterate",
                             lambda sys, x0, *rest: starts.append(x0) or iterate(sys, x0, *rest))
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.3])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.3])
         smallest_eigenpair(sysm)
         assert starts[0] is sysm.start and np.all(sysm.start > 0.0)
 
     def test_one_step_raises(self):
         # a capped call never converges: an exit needs two Rayleigh quotients
-        for sysm in (assemble(build_mesh(32), model_by_name("gl-gevrey3"), [0.2]),
+        for sysm in (Assembler(build_mesh(32), model_by_name("gl-gevrey3")).system([0.2]),
                      system_from_dense(np.diag([1.0, 2.0, 5.0]), np.eye(3))):
             with pytest.raises(EigenSolveError) as err:
                 smallest_eigenpair(sysm, max_iter=1)
@@ -325,7 +325,7 @@ class TestBlockSecond:
         model = model_by_name("qmc-analytic")
         samples = np.random.default_rng(31415).random((8, 20)) - 0.5
         rep = estimate_gap(model, 32, samples)
-        w = _dense_eigenvalues(assemble(build_mesh(32), model, rep.y_argmin), 2)
+        w = _dense_eigenvalues(Assembler(build_mesh(32), model).system(rep.y_argmin), 2)
         assert abs(rep.lambda1 - w[0]) <= 1e-10 * w[0]
         assert abs(rep.lambda2 - w[1]) <= 1e-10 * w[1]
 
@@ -356,7 +356,7 @@ class TestBlockSecond:
             second_eigenpair(sysm, smallest_eigenpair(sysm))
 
     def test_determinism(self):
-        sysm = assemble(build_mesh(12), model_by_name("gl-gevrey3"), [0.4])
+        sysm = Assembler(build_mesh(12), model_by_name("gl-gevrey3")).system([0.4])
         p1 = smallest_eigenpair(sysm)
         a = second_eigenpair(sysm, p1)
         b = second_eigenpair(sysm, p1)
@@ -374,7 +374,7 @@ class TestExits:
     """
 
     def _pairs(self, y, tol):
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), y)
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system(y)
         p1 = smallest_eigenpair(sysm, tol=tol)
         p2 = second_eigenpair(sysm, p1, tol=tol)
         w = _dense_eigenvalues(sysm, 2)
@@ -399,7 +399,7 @@ class TestExits:
         assert (p1.exit_reason, p2.exit_reason) == ("floor", "plateau")
 
     def test_unconverged_pair_has_no_exit(self):
-        sysm = assemble(build_mesh(8), model_by_name("gl-analytic"), [0.0])
+        sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.0])
         with pytest.raises(EigenSolveError) as err:
             second_eigenpair(sysm, smallest_eigenpair(sysm), max_iter=3)
         assert err.value.last.iterations == 3

@@ -6,9 +6,9 @@ import pytest
 from support import random_spd_pair, scatter_blocks, stiffness_map
 
 from gevrey_evp import fem
-from gevrey_evp.coefficients import MODEL_NAMES, model_by_name
+from gevrey_evp.coefficients import CHI1, MODEL_NAMES, model_by_name
 from gevrey_evp.eigensolver import smallest_eigenpair
-from gevrey_evp.fem import Assembler, assemble, build_mesh, laplace_lambda1_reference
+from gevrey_evp.fem import Assembler, build_mesh
 
 CONST = model_by_name("constant")
 
@@ -29,7 +29,7 @@ class TestMesh:
 
 class TestAssembly:
     def test_hand_assembled_m2(self):
-        sysm = assemble(build_mesh(2), CONST, [0.0])
+        sysm = Assembler(build_mesh(2), CONST).system([0.0])
         assert sysm.A.toarray() == pytest.approx(np.array([[4.0]]), rel=1e-15)
         assert sysm.M.toarray() == pytest.approx(np.array([[0.125]]), rel=1e-15)
         assert smallest_eigenpair(sysm).value == pytest.approx(32.0, rel=1e-12)
@@ -37,12 +37,12 @@ class TestAssembly:
     def test_exact_symmetry(self):
         for name, y in (("constant", [0.0]), ("gl-analytic", [0.37]),
                         ("qmc-analytic", np.linspace(-0.4, 0.4, 9))):
-            sysm = assemble(build_mesh(12), model_by_name(name), y)
+            sysm = Assembler(build_mesh(12), model_by_name(name)).system(y)
             assert (sysm.A - sysm.A.T).nnz == 0
             assert (sysm.M - sysm.M.T).nnz == 0
 
     def test_stencil_width(self):
-        sysm = assemble(build_mesh(9), model_by_name("gl-analytic"), [0.2])
+        sysm = Assembler(build_mesh(9), model_by_name("gl-analytic")).system([0.2])
         assert np.diff(sysm.A.indptr).max() <= 7
         assert np.diff(sysm.M.indptr).max() <= 7
 
@@ -50,21 +50,12 @@ class TestAssembly:
         mesh = build_mesh(8)
         model = model_by_name("qmc-analytic")
         y = np.array([0.21, -0.37, 0.05])
-        a = assemble(mesh, model, y)
-        b = assemble(mesh, model, np.concatenate([y, np.zeros(97)]))
+        asm = Assembler(mesh, model)
+        a = asm.system(y)
+        b = asm.system(np.concatenate([y, np.zeros(97)]))
         assert np.array_equal(a.A.data, b.A.data)
         assert np.array_equal(a.A.indices, b.A.indices)
         assert np.array_equal(a.M.data, b.M.data)
-
-    def test_assembler_matches_assemble(self):
-        mesh = build_mesh(6)
-        model = model_by_name("gl-gevrey3")
-        asm = Assembler(mesh, model)
-        for y in (-0.5, 0.0, 0.9):
-            a = asm.system([y])
-            b = assemble(mesh, model, [y])
-            assert np.array_equal(a.A.data, b.A.data)
-            assert np.array_equal(a.M.data, b.M.data)
 
     @pytest.mark.parametrize(
         "model",
@@ -112,10 +103,10 @@ class TestAssembly:
         # discrete analogue of a_lo ||v||^2 <= A_y(v, v)
         mesh = build_mesh(10)
         model = model_by_name("gl-analytic")
-        a0 = assemble(mesh, CONST, [0.0]).A
+        a0 = Assembler(mesh, CONST).system([0.0]).A
         rng = np.random.default_rng(7)
         a_lo = model.bounds.a_lo
-        sysm = assemble(mesh, model, [0.63])
+        sysm = Assembler(mesh, model).system([0.63])
         for _ in range(100):
             v = rng.standard_normal(mesh.n_dof)
             assert a_lo * (v @ (a0 @ v)) <= v @ (sysm.A @ v) + 1e-10
@@ -127,7 +118,7 @@ class TestBoundProduct:
         # release that moves or changes it fails here
         rng = np.random.default_rng(5)
         model = model_by_name("qmc-analytic")
-        systems = [assemble(build_mesh(m), model, rng.random(20) - 0.5) for m in (8, 32)]
+        systems = [Assembler(build_mesh(m), model).system(rng.random(20) - 0.5) for m in (8, 32)]
         systems.append(random_spd_pair(rng, 12))
         for sysm in systems:
             rows = rng.standard_normal((3, sysm.n_dof))  # the solver passes row views
@@ -139,24 +130,24 @@ class TestBoundProduct:
 
 class TestLaplaceReference:
     def test_value(self):
-        assert laplace_lambda1_reference() == pytest.approx(2 * math.pi**2, rel=1e-15)
+        assert CHI1 == pytest.approx(2 * math.pi**2, rel=1e-15)
 
     def test_discrete_above_continuum(self):
-        ref = laplace_lambda1_reference()
+        ref = CHI1
         for m in (2, 4, 8, 16):
-            lam = smallest_eigenpair(assemble(build_mesh(m), CONST, [0.0])).value
+            lam = smallest_eigenpair(Assembler(build_mesh(m), CONST).system([0.0])).value
             assert lam >= ref
 
     def test_quadratic_convergence_ratio(self):
-        ref = laplace_lambda1_reference()
+        ref = CHI1
         errs = []
         for m in (8, 16, 32):
-            lam = smallest_eigenpair(assemble(build_mesh(m), CONST, [0.0])).value
+            lam = smallest_eigenpair(Assembler(build_mesh(m), CONST).system([0.0])).value
             errs.append(lam - ref)
         for a, b in zip(errs, errs[1:]):
             assert 3.6 <= a / b <= 4.4
 
     def test_m64_close_to_reference(self):
-        ref = laplace_lambda1_reference()
-        lam = smallest_eigenpair(assemble(build_mesh(64), CONST, [0.0])).value
+        ref = CHI1
+        lam = smallest_eigenpair(Assembler(build_mesh(64), CONST).system([0.0])).value
         assert abs(lam - ref) / ref <= 1e-3
