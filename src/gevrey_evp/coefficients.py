@@ -1,10 +1,11 @@
 """Parametric diffusion/reaction/weight fields and their certified constants.
 
 The eigenvalue problem is  -div(a grad u) + b u = lambda c u  on the unit
-square with homogeneous Dirichlet conditions, where a, b, c depend on a
-parameter vector y.  Four built-in model fields are provided (two with a
-single parameter on [-1, 1], two with up to 100 parameters on [-1/2, 1/2]),
-plus constant and user-supplied sine-series fields.
+square with homogeneous Dirichlet conditions, where a depends on a parameter
+vector y and the reaction b and the weight c are constants.  Four built-in
+model fields are provided (two with a single parameter on [-1, 1], two with
+up to 100 parameters on [-1/2, 1/2]), plus constant and user-supplied
+sine-series fields.
 
 Constants derived from the coefficient ranges (contrasts, eigenvalue and
 eigenfunction bounds, and the growth factors sigma, rho for parameter
@@ -98,31 +99,30 @@ _BUILTIN = {
 
 
 class CoefficientModel:
-    """One parametric coefficient field (a, b, c) with certified bounds.
+    """One parametric diffusion field a with certified bounds, and the numbers b, c.
 
     ``kind`` is one of gl-analytic, gl-gevrey3, qmc-analytic, qmc-gevrey2,
     constant, custom.  The gl kinds take a single parameter in [-1, 1]; the
     qmc kinds take up to 100 parameters in [-1/2, 1/2] (missing trailing
     components are treated as zero).  The custom kind is 2 plus a sine
     series with the ``indices`` and ``amplitudes`` params, constant with
-    ``a``, ``b``, ``c``; other params raise ``ValueError``.  Instances are
-    immutable and safe to share; evaluation methods are pure.
+    ``a``, ``b``, ``c``; other params raise ``ValueError``.  The reaction
+    ``b`` and the mass weight ``c`` are 0 and 1 but in the constant kind.
+    Instances are immutable and safe to share; evaluation methods are pure.
     """
 
     def __init__(self, kind: str, params: dict | None = None):
         self.kind, self.params = kind, {}
+        self.b, self.c = 0.0, 1.0
         given = dict(params or {})
         if kind in _BUILTIN:
             self.dim, self.param_halfwidth, self.gevrey_order, self.bounds = _BUILTIN[kind]
         elif kind == "constant":
             a = float(given.get("a", 1.0))
-            b = float(given.get("b", 0.0))
-            c = float(given.get("c", 1.0))
-            self.params = {"a": a, "b": b, "c": c}
-            self.dim = 1
-            self.param_halfwidth = 1.0
-            self.gevrey_order = 1.0
-            self.bounds = Bounds(a, a, b, b, c, c)
+            self.b, self.c = float(given.get("b", self.b)), float(given.get("c", self.c))
+            self.params = {"a": a, "b": self.b, "c": self.c}
+            self.dim, self.param_halfwidth, self.gevrey_order = 1, 1.0, 1.0
+            self.bounds = Bounds(a, a, self.b, self.b, self.c, self.c)
         elif kind == "custom":
             idx = np.asarray(given["indices"], dtype=int)
             amp = np.asarray(given["amplitudes"], dtype=float)
@@ -209,18 +209,6 @@ class CoefficientModel:
         if kind == "constant":
             return np.full(cache["shape"], self.params["a"])
         raise AssertionError(kind)
-
-    def b(self, x1, x2) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x1, self.params["b"])
-        return np.zeros_like(x1)
-
-    def c(self, x1, x2) -> np.ndarray:
-        x1 = np.asarray(x1, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x1, self.params["c"])
-        return np.ones_like(x1)
 
     def __repr__(self) -> str:
         return f"CoefficientModel({self.kind!r}, dim={self.dim})"

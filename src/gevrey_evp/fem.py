@@ -9,8 +9,8 @@ problem A u = lambda M u over the (m-1)^2 interior nodes:
     M[i][j] = sum_T int_T c phi_i phi_j
 
 Element integrals use the 3-point edge-midpoint rule (exact for quadratics)
-with the coefficients frozen at the quadrature points; Dirichlet rows and
-columns are eliminated.  Interior nodes are ordered lexicographically, so
+with a frozen at the quadrature points; b and c are constants.  Dirichlet rows
+and columns are eliminated.  Interior nodes are ordered lexicographically, so
 assembly is bit-reproducible.
 """
 
@@ -197,14 +197,14 @@ class Assembler:
     """Repeated assembly for one (mesh, model) pair at varying parameters.
 
     Caches the y-independent part of the diffusion field at the edge
-    midpoints (``CoefficientModel.precompute``) and, since b and c do not
-    depend on the parameters for any built-in model, the entire mass matrix
-    and reaction contribution.  The sparsity pattern does not depend on the
-    parameters either: A shares the pattern of M, and its data is one sparse
-    product of a fixed map with the per-triangle mean diffusion, plus the
-    cached reaction data.  One position index, the CSR slot of every local
-    entry (``_position_index``), gives the pattern, the mass and reaction
-    data (one ``np.bincount`` each), the map and the slots of A's diagonal.
+    midpoints (``CoefficientModel.precompute``) and, since b and c are
+    constants, the entire mass matrix and reaction contribution.  The
+    sparsity pattern does not depend on the parameters either: A shares the
+    pattern of M, and its data is one sparse product of a fixed map with the
+    per-triangle mean diffusion, plus the cached reaction data.  One position
+    index, the CSR slot of every local entry (``_position_index``), gives the
+    pattern, the mass and reaction data (one ``np.bincount`` each), the map
+    and the slots of A's diagonal.
 
     Every system checks a_lo <= a_T(y) <= a_hi (the certified range, up to
     the rounding of the three-point mean; ``ValueError`` names y and the
@@ -231,8 +231,8 @@ class Assembler:
         self.model = model
         self._a_cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
         scale = mesh.h * mesh.h / 6.0
-        b_mid = model.b(mesh.mid_x1, mesh.mid_x2)
-        c_mid = model.c(mesh.mid_x1, mesh.mid_x2)
+        b_mid = np.full(mesh.mid_x1.shape, model.b)
+        c_mid = np.full(mesh.mid_x1.shape, model.c)
         indptr, indices, pos = _position_index(mesh.m)
         n, nnz = mesh.n_dof, indices.size
 

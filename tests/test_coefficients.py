@@ -83,10 +83,8 @@ class TestModels:
 
     def test_gl_analytic_point_values(self):
         model = model_by_name("gl-analytic")
-        x1, x2 = np.array([0.3]), np.array([0.7])
         assert a_at(model, (0.5, 0.5), [0.0]) == pytest.approx(2.0, abs=1e-15)
-        assert model.c(x1, x2)[0] == 1.0
-        assert model.b(x1, x2)[0] == 0.0
+        assert (model.b, model.c) == (0.0, 1.0)
 
     def test_qmc_analytic_at_zero(self):
         model = model_by_name("qmc-analytic")
@@ -113,6 +111,7 @@ class TestModels:
         for name in ("gl-analytic", "gl-gevrey3", "qmc-analytic", "qmc-gevrey2"):
             model = model_by_name(name)
             b = model.bounds
+            assert b.b_lo <= model.b <= b.b_hi and b.c_lo <= model.c <= b.c_hi
             for _ in range(16):
                 dim = min(model.dim, 30)
                 y = (rng.random(dim) - 0.5) * 2 * model.param_halfwidth
@@ -120,9 +119,6 @@ class TestModels:
                     y = np.maximum(y, -0.9999)
                 a = model.a_cached(model.precompute(x1, x2), y)
                 assert np.all(a >= b.a_lo - 1e-12) and np.all(a <= b.a_hi + 1e-12)
-                assert np.all(model.b(x1, x2) >= b.b_lo - 1e-12)
-                c = model.c(x1, x2)
-                assert np.all(c >= b.c_lo - 1e-12) and np.all(c <= b.c_hi + 1e-12)
 
     def test_gevrey2_endpoint_limit(self):
         model = model_by_name("qmc-gevrey2")

@@ -71,14 +71,14 @@ class TestAssembly:
             mesh = build_mesh(m)
             asm = Assembler(mesh, model)
             scale = mesh.h * mesh.h / 6.0
-            blocks = {name: scale * np.einsum("otk,kpq->otpq", f(mesh.mid_x1, mesh.mid_x2),
+            blocks = {name: scale * np.einsum("otk,kpq->otpq", np.full(mesh.mid_x1.shape, f),
                                               fem._MID_OUTER)
                       for name, f in (("b", model.b), ("c", model.c))}
             M = scatter_blocks(mesh, blocks["c"])
             assert np.array_equal(asm._M.indptr, M.indptr)
             assert np.array_equal(asm._M.indices, M.indices)
-            # b and c are constant for these models, so every contribution
-            # to an entry is the same and the sums agree bit for bit
+            # b and c are numbers, so every contribution to an entry is the
+            # same and the sums agree bit for bit
             assert np.array_equal(asm._M.data, M.data)
             assert np.array_equal(asm._b_data, scatter_blocks(mesh, blocks["b"]).data)
             search_map = stiffness_map(mesh, M.indptr, M.indices)
