@@ -287,11 +287,14 @@ def second_eigenpair(
     M-projected twice against ``first.vector``, so it converges to the
     lowest eigenpair of the M-complement of u1.  Where lambda2 equals
     lambda3 the vector is one of their shared eigenspace.  ``iterations``
-    counts LOBPCG steps.
+    counts LOBPCG steps.  A ``first.vector`` that is not one entry per dof
+    raises ``ValueError``.
     """
     n = sys.n_dof
     if n < 2:
         raise EigenSolveError("a one-dof system has no second eigenpair")
+    if np.shape(first.vector) != (n,):  # the bound products would read past it
+        raise ValueError(f"first.vector has shape {np.shape(first.vector)}, expected ({n},)")
     # deterministic start with no mesh symmetry, so all eigencomponents are hit
     x0 = np.cos(1.2345 * np.arange(n)) + 0.5
     pair = _iterate(sys, x0, tol, max_iter, deflate=first.vector)

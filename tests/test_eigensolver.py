@@ -350,6 +350,15 @@ class TestBlockSecond:
         assert {k for k, _ in failed} == {2, 3}
         assert all(info > k for k, info in failed)
 
+    def test_rejects_first_pair_of_another_system(self):
+        model = model_by_name("gl-analytic")
+        p1 = smallest_eigenpair(Assembler(build_mesh(6), model).system([0.3]))
+        sysm = Assembler(build_mesh(8), model).system([0.3])
+        # the bound product reads v without checking its length
+        with pytest.raises(ValueError, match=r"^first\.vector has shape \(25,\), "
+                                             r"expected \(49,\)$"):
+            second_eigenpair(sysm, p1)
+
     def test_one_dof_has_no_second(self):
         sysm = system_from_dense(np.diag([2.0]), np.eye(1))
         with pytest.raises(EigenSolveError, match="^a one-dof system has no second eigenpair$"):
