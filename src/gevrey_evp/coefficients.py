@@ -124,16 +124,14 @@ class CoefficientModel:
             self.dim, self.param_halfwidth, self.gevrey_order = 1, 1.0, 1.0
             self.bounds = Bounds(a, a, self.b, self.b, self.c, self.c)
         elif kind == "custom":
-            idx = np.asarray(given["indices"], dtype=int)
-            amp = np.asarray(given["amplitudes"], dtype=float)
+            idx = np.asarray(given.get("indices", ()), dtype=int)
+            amp = np.asarray(given.get("amplitudes", ()), dtype=float)
             if idx.ndim != 1 or idx.shape != amp.shape or idx.size == 0:
-                raise ValueError("custom model needs matching 1-d index/amplitude tables")
+                raise ValueError("custom model needs matching 1-d 'indices' and 'amplitudes'")
             if np.any(idx < 1):
                 raise ValueError("custom series indices must be >= 1")
             self.params = {"indices": idx, "amplitudes": amp}
-            self.dim = int(idx.size)
-            self.param_halfwidth = 0.5
-            self.gevrey_order = 1.0
+            self.dim, self.param_halfwidth, self.gevrey_order = int(idx.size), 0.5, 1.0
             spread = 0.5 * float(np.sum(np.abs(amp)))
             if 2.0 - spread <= 0:
                 raise ValueError("custom series is not uniformly positive")
@@ -253,7 +251,8 @@ def load_custom_model(path) -> CoefficientModel:
     """Read a sine-series coefficient table: one 'index amplitude' line per term.
 
     The diffusion field is 2 plus the series.  Lines may be comma- or
-    whitespace-separated; '#' starts a comment.
+    whitespace-separated; '#' starts a comment; a bad line raises
+    ``ValueError`` naming ``path:line``.
     """
     indices, amps = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -261,11 +260,16 @@ def load_custom_model(path) -> CoefficientModel:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'index amplitude'")
-            indices.append(int(parts[0]))
-            amps.append(float(parts[1]))
+            try:
+                index, amp = line.replace(",", " ").split()
+                index, amp = int(index), float(amp)
+                if not math.isfinite(amp):
+                    raise ValueError
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'index amplitude', an integer "
+                                 f"and a finite number, got {line!r}") from None
+            indices.append(index)
+            amps.append(amp)
     return CoefficientModel("custom", {"indices": indices, "amplitudes": amps})
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -166,6 +167,20 @@ class TestModels:
         val = model.a_cached(model.precompute(x, x), [0.5, 0.0])
         expect = 2.0 + 0.5 * math.sin(math.pi / 2) ** 2 * 0.5
         assert val[0] == pytest.approx(expect, rel=1e-14)
+
+    @pytest.mark.parametrize("bad", ["2.5 0.2", "1 abc", "1 nan", "1 -inf", "1 0.2 3", "4"])
+    def test_custom_table_names_the_bad_line(self, tmp_path, bad):
+        path = tmp_path / "series.txt"
+        path.write_text(f"# index amplitude\n1 0.5\n{bad}  # term\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 'index "
+                                             f"amplitude'.*, got '{bad}'$"):
+            load_custom_model(path)
+
+    @pytest.mark.parametrize("params", [{}, {"indices": [1]}, {"amplitudes": [0.5]}])
+    def test_custom_model_needs_its_tables(self, params):
+        needs = "^custom model needs matching 1-d 'indices' and 'amplitudes'$"
+        with pytest.raises(ValueError, match=needs):
+            CoefficientModel("custom", params)
 
     def test_custom_model_must_stay_positive(self):
         with pytest.raises(ValueError):

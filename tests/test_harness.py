@@ -464,6 +464,14 @@ class TestCli:
         assert code == 0
         assert out.exists()
 
+    def test_bad_custom_table_line_exits_1(self, tmp_path, capsys):
+        table = tmp_path / "series.txt"
+        table.write_text("1 0.4\n2 nan\n")
+        code = main(["solve-evp", "--model", f"custom:{table}", "--m", "4", "--y", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {table}:2: expected 'index amplitude'")
+
     def test_mc_study_reduced(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
         code = main(["mc-study", "--model", "constant", "--m", "4", "--s", "2",
