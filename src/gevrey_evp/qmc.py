@@ -45,6 +45,7 @@ __all__ = [
     "lattice_points",
     "qmc_estimate",
     "mc_estimate",
+    "mc_study",
     "ErrorRecord",
     "RmseStudyResult",
     "default_weights",

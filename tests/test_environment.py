@@ -1,10 +1,15 @@
-"""What only a fresh interpreter shows: the import surface, and CSV bytes
-that do not depend on the BLAS thread count."""
+"""The import surface, and what only a fresh interpreter shows: the modules
+an import loads, and CSV bytes that do not depend on the BLAS thread count."""
 
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import gevrey_evp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -18,6 +23,20 @@ def _run(code, tmp_path, **env_vars):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+def test_exports_resolve():
+    # every name in a module's __all__ exists, and the package re-exports
+    # only such names
+    exported = set()
+    for info in pkgutil.iter_modules(gevrey_evp.__path__):
+        mod = importlib.import_module(f"gevrey_evp.{info.name}")
+        names = getattr(mod, "__all__", ())
+        assert not [n for n in names if not hasattr(mod, n)], info.name
+        exported.update(names)
+    public = {name for name, value in vars(gevrey_evp).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public and public <= exported, sorted(public - exported)
 
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
