@@ -263,11 +263,11 @@ def load_custom_model(path) -> CoefficientModel:
             try:
                 index, amp = line.replace(",", " ").split()
                 index, amp = int(index), float(amp)
-                if not math.isfinite(amp):
+                if index < 1 or not math.isfinite(amp):
                     raise ValueError
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 'index amplitude', an integer "
-                                 f"and a finite number, got {line!r}") from None
+                                 f">= 1 and a finite number, got {line!r}") from None
             indices.append(index)
             amps.append(amp)
     return CoefficientModel("custom", {"indices": indices, "amplitudes": amps})

@@ -168,7 +168,8 @@ class TestModels:
         expect = 2.0 + 0.5 * math.sin(math.pi / 2) ** 2 * 0.5
         assert val[0] == pytest.approx(expect, rel=1e-14)
 
-    @pytest.mark.parametrize("bad", ["2.5 0.2", "1 abc", "1 nan", "1 -inf", "1 0.2 3", "4"])
+    @pytest.mark.parametrize("bad", ["2.5 0.2", "0 0.2", "1 abc", "1 nan", "1 -inf", "1 0.2 3",
+                                     "4"])
     def test_custom_table_names_the_bad_line(self, tmp_path, bad):
         path = tmp_path / "series.txt"
         path.write_text(f"# index amplitude\n1 0.5\n{bad}  # term\n")
