@@ -79,6 +79,9 @@ class Bounds:
     c_hi: float
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not (self.a_lo > 0 and self.c_lo > 0 and self.b_lo >= 0):
             raise ValueError("need a_lo > 0, c_lo > 0, b_lo >= 0")
         if self.a_hi < self.a_lo or self.b_hi < self.b_lo or self.c_hi < self.c_lo:
@@ -252,7 +255,8 @@ def load_custom_model(path) -> CoefficientModel:
 
     The diffusion field is 2 plus the series.  Lines may be comma- or
     whitespace-separated; '#' starts a comment; a bad line raises
-    ``ValueError`` naming ``path:line``.
+    ``ValueError`` naming ``path:line``, and a table without a term
+    ``ValueError`` naming ``path``.
     """
     indices, amps = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -270,6 +274,8 @@ def load_custom_model(path) -> CoefficientModel:
                                  f">= 1 and a finite number, got {line!r}") from None
             indices.append(index)
             amps.append(amp)
+    if not indices:
+        raise ValueError(f"{path}: no 'index amplitude' lines, so the series has no terms")
     return CoefficientModel("custom", {"indices": indices, "amplitudes": amps})
 
 

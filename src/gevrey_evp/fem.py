@@ -12,12 +12,27 @@ Element integrals use the 3-point edge-midpoint rule (exact for quadratics)
 with a frozen at the quadrature points; b and c are constants.  Dirichlet rows
 and columns are eliminated.  Interior nodes are ordered lexicographically, so
 assembly is bit-reproducible.
+
+Every model is symmetric under the swap x1 <-> x2, and the mesh is too: the
+lower triangle of cell (i, j) mirrors onto the upper one of cell (j, i).  The
+first eigenfunction is positive and lambda1 simple, so u1 lies in the
+swap-symmetric subspace (Bossavit, Comput. Methods Appl. Mech. Eng. 56,
+1986), which holds k(k+1)/2 of the k^2 dof, k = m - 1.  Its orthonormal basis
+Q is 1 on a diagonal node and 1/sqrt(2) on each node of a mirrored pair.
+``Assembler.symmetric_system`` assembles Q^T A Q and Q^T M Q directly on the
+half grid, the interior nodes (i, j) with i <= j: it reads the field at the
+lower triangles only and counts each one twice, for itself and its mirror.
+The rule: a caller that needs only lambda1 solves the half system; a caller
+that needs u1 on the grid, or lambda2, solves the whole one,
+``Assembler.system``.  The half system's vectors are in the basis Q, and no
+caller reads them.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -100,8 +115,8 @@ class SparseSystem:
     the certified range); ``precondition``, a map from a residual vector to
     a search direction, approximately (A - sigma M)^-1 applied to it; and
     ``start``, the first iterate of a lambda1 solve, close to the first
-    eigenvector.  ``Assembler.system`` supplies all three; a system built by
-    other means supplies its own.
+    eigenvector.  ``Assembler`` supplies all three; a system built by other
+    means supplies its own.
 
     A system checks itself when it is made, ``dataclasses.replace`` copies
     too: A is square and M has its shape, both diagonals are positive, the
@@ -193,6 +208,109 @@ def _position_index(m: int):
     return indptr, indices, pos.transpose(0, 3, 4, 1, 2).ravel()
 
 
+def _half_position_index(m: int):
+    """CSR pattern of the half-grid matrices, and the slot and weight of every
+    local entry of a lower triangle.
+
+    Half node (i, j), i <= j, stands for the orbit {(i, j), (j, i)}; its
+    number is j (j - 1) / 2 + i - 1.  Its row holds the stencil neighbours
+    (i + dx, j + dy) that are interior and have i + dx <= j + dy: off the
+    diagonal every neighbour has, and on it the mirror pairs (1, 0), (0, 1)
+    and (0, -1), (-1, 0) are one orbit each.  A lower triangle above the
+    diagonal (cell i < j) has every vertex in the half; one below it (i > j)
+    has none, and its entries land where those of its mirror do, with the
+    stencil offsets transposed; one on it (i == j) has vertices (i, i),
+    (i, i + 1) after the swap and (i + 1, i + 1).  Returns (indptr, indices,
+    pos, weight): pos, flat in the order (t, p, q), is the slot of entry
+    (p, q) of lower triangle t, nnz where a vertex is on the boundary;
+    weight, shape (m^2, 9), is 2 q_p q_q, with q 1 on the diagonal and
+    1/sqrt(2) off it.
+    """
+    k = m - 1
+    node = np.arange(1, m)
+    dx, dy = np.array(_STENCIL).T
+    # present[j - 1, i - 1, s]: node (i, j) is in the half, and so is its
+    # neighbour s, which is interior
+    present = (
+        ((node[:, None] - node[None, :])[..., None] >= np.maximum(dx - dy, 0))
+        & ((node[:, None] + dy >= 1) & (node[:, None] + dy <= k))[:, None, :]
+        & ((node[:, None] + dx >= 1) & (node[:, None] + dx <= k))[None, :, :]
+    )
+    nnz = int(present.sum())
+    # slot[j, i, s] for every node (i, j) of the grid, nnz where absent
+    slot = np.full((m + 1, m + 1, 7), nnz)
+    slot[1:m, 1:m][present] = np.arange(nnz)
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2)[node[None, :] <= node[:, None]])])
+    y = node[:, None] + dy
+    indices = ((y * (y - 1) // 2 - 1)[:, None, :] + (node[:, None] + dx)[None, :, :])[present]
+    cell = np.arange(m)
+    above = cell[None, :] < cell[:, None]  # [j, i] of cell (i, j)
+    pos = np.empty((3, 3, m, m), dtype=np.intp)
+    for p, (px, py) in enumerate(_CORNERS[0]):
+        for q, (qx, qy) in enumerate(_CORNERS[0]):
+            keep = slot[py : py + m, px : px + m, _STENCIL.index((qx - px, qy - py))]
+            flip = slot[px : px + m, py : py + m, _STENCIL.index((qy - py, qx - px))].T
+            pos[p, q] = np.where(above, keep, flip)
+            (lo_p, hi_p), (lo_q, hi_q) = sorted((px, py)), sorted((qx, qy))
+            pos[p, q, cell, cell] = slot[cell + hi_p, cell + lo_p,
+                                         _STENCIL.index((lo_q - lo_p, hi_q - hi_p))]
+    # vertex p is on the diagonal in cell (c, c) where px == py, in cell
+    # (c, c + 1) where px == py + 1, and in no other cell
+    px, py = np.array(_CORNERS[0]).T
+    table = np.array([1.0, np.sqrt(2.0), 2.0])
+    weight = np.ones((m, m, 3, 3))
+    for on_diagonal, rows, cols in ((px == py, cell, cell), (px == py + 1, cell[1:], cell[:-1])):
+        count = on_diagonal.astype(int)
+        weight[rows, cols] = table[count[:, None] + count[None, :]]
+    return indptr, indices, pos.transpose(2, 3, 0, 1).ravel(), weight.reshape(m * m, 9)
+
+
+class _Fixed(NamedTuple):
+    """What the mesh systems of one model on one CSR pattern share.
+
+    ``a_cache`` is the field's y-independent part at the midpoints read;
+    ``stiffness`` maps the flat per-triangle diffusion onto A's stiffness
+    data; ``M`` and ``b_data`` are the mass matrix and the reaction data;
+    ``diag_slots`` are the slots of the diagonal.
+    """
+
+    a_cache: dict
+    stiffness: Callable[[np.ndarray], np.ndarray]
+    M: sp.csr_matrix
+    b_data: np.ndarray
+    diag_slots: np.ndarray
+
+    @staticmethod
+    def build(model, x1, x2, h, indptr, indices, pos, g, weight) -> "_Fixed":
+        """The fixed part for the triangles whose field is read at (x1, x2).
+
+        pos is the slot of every local entry (p, q), 9 a triangle in the
+        triangle order of x1 and x2; g (triangles, 9) the local stiffness
+        and weight the factor on every local entry.
+        """
+        n, nnz, cols = indptr.size - 1, indices.size, pos.size // 9
+        scale = h * h / 6.0
+
+        def scatter(f):
+            blocks = weight * (scale * (np.full(x1.shape, f) @ _MID_OUTER.reshape(3, 9)))
+            return np.bincount(pos, blocks.ravel(), nnz + 1)[:nnz]
+
+        # column t of the map holds the local stiffness entries of triangle t
+        # in the rows of their slots, less the zeros and the row past the last
+        # slot (the boundary entries)
+        stiff = sp.csc_matrix(
+            ((weight * g).ravel(), pos, np.arange(0, pos.size + 1, 9)), shape=(nnz + 1, cols)
+        ).tocsr()
+        stiff.eliminate_zeros()
+        end = stiff.indptr[nnz]
+        stiffness = _csr_matvec(sp.csr_matrix(
+            (stiff.data[:end], stiff.indices[:end], stiff.indptr[: nnz + 1]), shape=(nnz, cols)
+        ))
+        M = sp.csr_matrix((scatter(model.c), indices, indptr), shape=(n, n))
+        diag_slots = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
+        return _Fixed(model.precompute(x1, x2), stiffness, M, scatter(model.b), diag_slots)
+
+
 class Assembler:
     """Repeated assembly for one (mesh, model) pair at varying parameters.
 
@@ -205,6 +323,12 @@ class Assembler:
     index, the CSR slot of every local entry (``_position_index``), gives the
     pattern, the mass and reaction data (one ``np.bincount`` each), the map
     and the slots of A's diagonal.
+
+    ``system`` assembles on the whole grid and ``symmetric_system`` on the
+    half grid (see the module docstring), whose index
+    (``_half_position_index``) also weights every local entry of a lower
+    triangle by 2 q_p q_q.  Each is set up on the first call that needs it,
+    so a caller pays only for the grid it solves on.
 
     Every system checks a_lo <= a_T(y) <= a_hi (the certified range, up to
     the rounding of the three-point mean; ``ValueError`` names y and the
@@ -223,40 +347,13 @@ class Assembler:
     Algebra Appl. 358, 2003), where a_mean is the mean of the per-triangle
     diffusion at y and c_mean that of the mass weight.  The same S gives each
     system's start vector, D^-1/2 times the lowest mode, sin(pi x1) sin(pi x2)
-    on the interior grid.
+    on the interior grid.  The half system's T is Q^T T Q and its start Q^T
+    times the whole grid's.
     """
 
     def __init__(self, mesh: Mesh, model: CoefficientModel):
         self.mesh = mesh
         self.model = model
-        self._a_cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
-        scale = mesh.h * mesh.h / 6.0
-        b_mid = np.full(mesh.mid_x1.shape, model.b)
-        c_mid = np.full(mesh.mid_x1.shape, model.c)
-        indptr, indices, pos = _position_index(mesh.m)
-        n, nnz = mesh.n_dof, indices.size
-
-        def scatter(weights):
-            blocks = scale * (weights @ _MID_OUTER.reshape(3, 9))
-            return np.bincount(pos, blocks.ravel(), nnz + 1)[:nnz]
-
-        self._M = sp.csr_matrix((scatter(c_mid), indices, indptr), shape=(n, n))
-        self._indptr, self._indices = self._M.indptr, self._M.indices
-        self._b_data = scatter(b_mid)
-        # column o * m^2 + t of the map holds the local stiffness entries of
-        # triangle t of orientation o in the rows of their slots, less the
-        # zeros and the row past the last slot (the boundary entries)
-        cols = 2 * mesh.m**2
-        g = np.stack([_G_LOWER, _G_UPPER]).reshape(2, 1, 9).repeat(cols // 2, axis=1)
-        stiff = sp.csc_matrix(
-            (g.ravel(), pos, np.arange(0, pos.size + 1, 9)), shape=(nnz + 1, cols)
-        ).tocsr()
-        stiff.eliminate_zeros()
-        end = stiff.indptr[nnz]
-        self._map = _csr_matvec(sp.csr_matrix(
-            (stiff.data[:end], stiff.indices[:end], stiff.indptr[: nnz + 1]), shape=(nnz, cols)
-        ))
-        self._diag_slots = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
         # about 4 ulps for the three-point mean: a == 0.1 gives (a+a+a)/3 < a
         self._a_range = (model.bounds.a_lo * (1 - 1e-15), model.bounds.a_hi * (1 + 1e-15))
         k = np.arange(1, mesh.m)
@@ -266,10 +363,37 @@ class Assembler:
         lam = 4.0 * np.sin(k * (np.pi / (2 * mesh.m))) ** 2
         self._sine_spectrum = lam[:, None] + lam[None, :]
         self._mode = np.outer(self._sine[:, 0], self._sine[:, 0])
-        self._mass_scale = 0.9 * mesh.h * mesh.h * c_mid.mean()
+        self._mass_scale = 0.9 * mesh.h * mesh.h * np.full(mesh.mid_x1.shape, model.c).mean()
 
-    def system(self, y) -> SparseSystem:
-        a = self.model.a_cached(self._a_cache, y)
+    @functools.cached_property
+    def _half(self) -> tuple:
+        """The half grid's fixed part, built on first use, and Q as gathers:
+        Q r on the grid is q * r[orbit]; Q^T u is u at (i, j) plus u at
+        (j, i), times 1/sqrt(2) off the diagonal and 1/2 on it (fold)."""
+        mesh = self.mesh
+        indptr, indices, pos, weight = _half_position_index(mesh.m)
+        fixed = _Fixed.build(self.model, mesh.mid_x1[0], mesh.mid_x2[0], mesh.h, indptr,
+                             indices, pos, _G_LOWER.reshape(1, 9), weight)
+        node = np.arange(1, mesh.m)
+        lo, hi = np.minimum.outer(node, node), np.maximum.outer(node, node)
+        orbit = (hi * (hi - 1) // 2 + lo - 1).ravel()
+        q = np.where(lo == hi, 1.0, np.sqrt(0.5)).ravel()
+        j, i = np.tril_indices(mesh.m - 1)
+        fold = np.where(i == j, 0.5, np.sqrt(0.5))
+        return fixed, orbit, q, (j * (mesh.m - 1) + i, i * (mesh.m - 1) + j), fold
+
+    @functools.cached_property
+    def _full(self) -> _Fixed:
+        """The whole grid's fixed part, built on first use."""
+        mesh = self.mesh
+        indptr, indices, pos = _position_index(mesh.m)
+        g = np.stack([_G_LOWER, _G_UPPER]).reshape(2, 9).repeat(mesh.m**2, axis=0)
+        return _Fixed.build(self.model, mesh.mid_x1, mesh.mid_x2, mesh.h, indptr, indices,
+                            pos, g, 1.0)
+
+    def _assemble(self, fixed: _Fixed, y):
+        """A(y) on one pattern, its shift sigma(y), T's denominator and A's diagonal."""
+        a = self.model.a_cached(fixed.a_cache, y)
         a_mean = (a[..., 0] + a[..., 1] + a[..., 2]) / 3.0  # the bits of mean(axis=2)
         lo, hi = float(a_mean.min()), float(a_mean.max())
         if not self._a_range[0] <= lo <= hi <= self._a_range[1]:  # NaN fails too
@@ -278,12 +402,29 @@ class Assembler:
                    else f"min a_T = {lo!r} < a_lo = {b.a_lo!r}")
             raise ValueError(f"y = {np.ravel(y).tolist()}: {bad}, outside the certified range")
         shift = CHI1 * lo / self.model.bounds.c_hi
-        data = self._map(a_mean.ravel()) + self._b_data
-        n = self.mesh.n_dof
-        A = sp.csr_matrix((data, self._indices, self._indptr), shape=(n, n))
-        k = self.mesh.m - 1
-        d = (0.25 * data[self._diag_slots]).reshape(k, k) ** -0.5
+        data = fixed.stiffness(a_mean.ravel()) + fixed.b_data
+        A = sp.csr_matrix((data, fixed.M.indices, fixed.M.indptr), shape=fixed.M.shape)
         denom = self._sine_spectrum - self._mass_scale * shift / a_mean.mean()
-        T = _sine_preconditioner(self._sine, denom, d)
-        return SparseSystem(A, self._M, shift, T, (d * self._mode).ravel())
+        return A, shift, denom, data[fixed.diag_slots]
 
+    def system(self, y) -> SparseSystem:
+        """The FEM system on all (m-1)^2 interior nodes."""
+        A, shift, denom, diag = self._assemble(self._full, y)
+        k = self.mesh.m - 1
+        d = (0.25 * diag).reshape(k, k) ** -0.5
+        T = _sine_preconditioner(self._sine, denom, d)
+        return SparseSystem(A, self._full.M, shift, T, (d * self._mode).ravel())
+
+    def symmetric_system(self, y) -> SparseSystem:
+        """The system Q^T A Q, Q^T M Q on the half grid: the nodes (i, j) with i <= j."""
+        fixed, orbit, q, (lower, upper), fold = self._half
+        A, shift, denom, diag = self._assemble(fixed, y)
+        d = (0.25 * diag[orbit]).reshape(self._mode.shape) ** -0.5
+        T = _sine_preconditioner(self._sine, denom, d)
+
+        def precondition(r: np.ndarray) -> np.ndarray:
+            u = T(q * r[orbit])
+            return (u[lower] + u[upper]) * fold
+
+        u = (d * self._mode).ravel()
+        return SparseSystem(A, fixed.M, shift, precondition, (u[lower] + u[upper]) * fold)

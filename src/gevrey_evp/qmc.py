@@ -408,11 +408,12 @@ def _relative_rmse(reference: float, estimates: np.ndarray) -> float:
 def _lambda1_map(
     model: CoefficientModel, m: int, tol: float
 ) -> Callable[[np.ndarray], float]:
-    """y -> lambda1(y): the smallest FEM eigenvalue on the mesh of parameter m."""
+    """y -> lambda1(y): the smallest FEM eigenvalue on the mesh of parameter m,
+    solved on the half grid (``Assembler.symmetric_system``)."""
     asm = Assembler(build_mesh(m), model)
 
     def lam(y: np.ndarray) -> float:
-        return smallest_eigenpair(asm.system(y), tol=tol).value
+        return smallest_eigenpair(asm.symmetric_system(y), tol=tol).value
 
     return lam
 

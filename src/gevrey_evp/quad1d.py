@@ -87,14 +87,15 @@ def axis_eigenvalue_map(
     """t -> lambda1(y) along the first parameter, y = t * param_halfwidth.
 
     The rescaling takes t in [-1, 1] onto the model's parameter interval.
-    Each call assembles the system on the mesh of parameter m and solves it
-    to relative tolerance tol.
+    Each call assembles the system on the half grid of the mesh of parameter
+    m (``Assembler.symmetric_system``) and solves it to relative tolerance
+    tol.
     """
     asm = Assembler(build_mesh(m), model)
     half = model.param_halfwidth
 
     def f(t: float) -> float:
-        return smallest_eigenpair(asm.system([t * half]), tol=tol).value
+        return smallest_eigenpair(asm.symmetric_system([t * half]), tol=tol).value
 
     return f
 

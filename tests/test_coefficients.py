@@ -11,6 +11,7 @@ from gevrey_evp.coefficients import (
     CHI1,
     MODEL_NAMES,
     BoundConstants,
+    Bounds,
     CoefficientModel,
     bound_constants,
     derivative_bound,
@@ -176,6 +177,24 @@ class TestModels:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: expected 'index "
                                              f"amplitude'.*, got '{bad}'$"):
             load_custom_model(path)
+
+    def test_custom_table_without_terms(self, tmp_path):
+        path = tmp_path / "series.txt"
+        path.write_text("# nothing\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no 'index amplitude' "
+                                             "lines"):
+            load_custom_model(path)
+
+    @pytest.mark.parametrize("field", ["a_lo", "a_hi", "b_lo", "b_hi", "c_lo", "c_hi"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_bounds_must_be_finite(self, field, value):
+        given = dict(a_lo=1.0, a_hi=2.0, b_lo=0.0, b_hi=1.0, c_lo=1.0, c_hi=2.0) | {field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+            Bounds(**given)
+
+    def test_infinite_reaction_names_its_bound(self):
+        with pytest.raises(ValueError, match="^b_lo must be finite, got inf$"):
+            model_by_name("constant", b=math.inf)
 
     @pytest.mark.parametrize("params", [{}, {"indices": [1]}, {"amplitudes": [0.5]}])
     def test_custom_model_needs_its_tables(self, params):

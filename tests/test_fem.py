@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from support import random_spd_pair, scatter_blocks, stiffness_map
 
 from gevrey_evp import fem
-from gevrey_evp.coefficients import CHI1, MODEL_NAMES, model_by_name
+from gevrey_evp.coefficients import CHI1, MODEL_NAMES, CoefficientModel, model_by_name
 from gevrey_evp.eigensolver import smallest_eigenpair
 from gevrey_evp.fem import Assembler, build_mesh
 
@@ -75,12 +77,12 @@ class TestAssembly:
                                               fem._MID_OUTER)
                       for name, f in (("b", model.b), ("c", model.c))}
             M = scatter_blocks(mesh, blocks["c"])
-            assert np.array_equal(asm._M.indptr, M.indptr)
-            assert np.array_equal(asm._M.indices, M.indices)
+            assert np.array_equal(asm._full.M.indptr, M.indptr)
+            assert np.array_equal(asm._full.M.indices, M.indices)
             # b and c are numbers, so every contribution to an entry is the
             # same and the sums agree bit for bit
-            assert np.array_equal(asm._M.data, M.data)
-            assert np.array_equal(asm._b_data, scatter_blocks(mesh, blocks["b"]).data)
+            assert np.array_equal(asm._full.M.data, M.data)
+            assert np.array_equal(asm._full.b_data, scatter_blocks(mesh, blocks["b"]).data)
             search_map = stiffness_map(mesh, M.indptr, M.indices)
             cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
             for _ in range(3):
@@ -88,7 +90,7 @@ class TestAssembly:
                 a_mean = model.a_cached(cache, y).mean(axis=2)
                 ref = scatter_blocks(mesh, np.einsum("ot,opq->otpq", a_mean, g) + blocks["b"])
                 A = asm.system(y).A
-                assert np.array_equal(A.data[asm._diag_slots], A.diagonal())
+                assert np.array_equal(A.data[asm._full.diag_slots], A.diagonal())
                 assert np.array_equal(A.indptr, ref.indptr)
                 assert np.array_equal(A.indices, ref.indices)
                 # a diagonal entry sums six exact products, and COO -> CSR adds
@@ -97,7 +99,7 @@ class TestAssembly:
                 assert np.all(np.abs(A.data - ref.data) <= 2 * np.spacing(np.abs(ref.data)))
                 # the map found by binary search over the pattern gives A bit
                 # for bit
-                assert np.array_equal(A.data, search_map @ a_mean.ravel() + asm._b_data)
+                assert np.array_equal(A.data, search_map @ a_mean.ravel() + asm._full.b_data)
 
     def test_coercivity_vs_unit_stiffness(self):
         # discrete analogue of a_lo ||v||^2 <= A_y(v, v)
@@ -110,6 +112,96 @@ class TestAssembly:
         for _ in range(100):
             v = rng.standard_normal(mesh.n_dof)
             assert a_lo * (v @ (a0 @ v)) <= v @ (sysm.A @ v) + 1e-10
+
+
+# every kind, the constant one also with a reaction and a weight
+KINDS = [model_by_name(name) for name in MODEL_NAMES] + [
+    model_by_name("constant", a=1.5, b=2.5, c=0.75),
+    CoefficientModel("custom", {"indices": [1, 3], "amplitudes": [0.5, 0.25]}),
+]
+KIND_IDS = [*MODEL_NAMES, "constant-reaction", "custom"]
+
+
+def random_y(model, rng):
+    return (2 * rng.random(min(model.dim, 20)) - 1) * 0.99 * model.param_halfwidth
+
+
+def swap_basis(m: int) -> sp.csr_matrix:
+    """Q: the orthonormal basis of the swap-symmetric grid functions, one
+    column per interior node (i, j) with i <= j in lexicographic order."""
+    k = m - 1
+    rows, cols, vals = [], [], []
+    for j in range(k):
+        for i in range(j + 1):
+            col = j * (j + 1) // 2 + i
+            nodes = {j * k + i, i * k + j}
+            for node in nodes:
+                rows.append(node)
+                cols.append(col)
+                vals.append(1.0 / math.sqrt(len(nodes)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(k * k, k * (k + 1) // 2))
+
+
+class TestSymmetricSystem:
+    """The half system against the explicit fold Q^T (.) Q of the whole one."""
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_matches_the_explicit_fold(self, model):
+        rng = np.random.default_rng(3)
+        for m in range(2, 10):
+            asm = Assembler(build_mesh(m), model)
+            y = random_y(model, rng)
+            whole, half = asm.system(y), asm.symmetric_system(y)
+            Q = swap_basis(m)
+            for full, reduced in ((whole.A, half.A), (whole.M, half.M)):
+                # the pattern of the product, which has no cancellation as
+                # Q and the stored entries set to 1 are positive
+                ones = sp.csr_matrix((np.ones(full.nnz), full.indices, full.indptr), full.shape)
+                pattern = (Q.T @ ones @ Q).tocsr()
+                pattern.sort_indices()
+                assert np.array_equal(reduced.indptr, pattern.indptr)
+                assert np.array_equal(reduced.indices, pattern.indices)
+                fold = (Q.T @ full @ Q).toarray()
+                assert np.all(np.abs(reduced.toarray() - fold) <= 1e-14 * np.abs(fold))
+            for _ in range(3):
+                r = rng.standard_normal(half.n_dof)
+                ref = Q.T @ whole.precondition(Q @ r)
+                assert np.max(np.abs(half.precondition(r) - ref)) <= 1e-14 * np.max(np.abs(ref))
+            ref = Q.T @ whole.start
+            assert np.max(np.abs(half.start - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert half.shift == pytest.approx(whole.shift, rel=1e-15)
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_field_is_swap_symmetric(self, model):
+        # the premise: lower triangle (i, j) mirrors onto upper triangle
+        # (j, i), its midpoints (m01, m12, m02) onto (m02, m12, m01)
+        m = 12
+        mesh = build_mesh(m)
+
+        def mirrored(f):
+            return f[1].reshape(m, m, 3).transpose(1, 0, 2)[..., ::-1].reshape(m * m, 3)
+
+        assert np.array_equal(mesh.mid_x1[0], mirrored(mesh.mid_x2))
+        assert np.array_equal(mesh.mid_x2[0], mirrored(mesh.mid_x1))
+        cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            a = model.a_cached(cache, random_y(model, rng))
+            assert np.all(np.abs(a[0] - mirrored(a)) <= 4 * np.spacing(np.abs(a[0])))
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_half_lambda1_is_lambda1(self, model):
+        # an antisymmetric first eigenvector would leave the half's lambda1
+        # above the whole system's
+        rng = np.random.default_rng(5)
+        for m in (8, 16):
+            asm = Assembler(build_mesh(m), model)
+            y = random_y(model, rng)
+            whole = asm.system(y)
+            ref = sla.eigh(whole.A.toarray(), whole.M.toarray(), eigvals_only=True,
+                           subset_by_index=[0, 0])[0]
+            assert smallest_eigenpair(asm.symmetric_system(y)).value == pytest.approx(
+                ref, rel=1e-12)
 
 
 class TestBoundProduct:

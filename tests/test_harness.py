@@ -472,6 +472,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {table}:2: expected 'index amplitude'")
 
+    def test_custom_table_without_terms_exits_1(self, tmp_path, capsys):
+        table = tmp_path / "series.txt"
+        table.write_text("# nothing\n")
+        code = main(["solve-evp", "--model", f"custom:{table}", "--m", "4", "--y", "0.1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid input: {table}: no 'index amplitude' lines")
+
     def test_mc_study_reduced(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
         code = main(["mc-study", "--model", "constant", "--m", "4", "--s", "2",

@@ -386,7 +386,7 @@ class TestStudies:
             def __init__(self, mesh, model):
                 pass
 
-            def system(self, y):
+            def symmetric_system(self, y):
                 return np.array(y)
 
         def smallest_eigenpair(y, tol):

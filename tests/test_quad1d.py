@@ -73,7 +73,7 @@ class FakeAxis:
             def __init__(self, mesh, model):
                 pass
 
-            def system(self, y):
+            def symmetric_system(self, y):
                 return float(y[0])
 
         def smallest_eigenpair(y, tol):
