@@ -14,18 +14,20 @@ and columns are eliminated.  Interior nodes are ordered lexicographically, so
 assembly is bit-reproducible.
 
 Every model is symmetric under the swap x1 <-> x2, and the mesh is too: the
-lower triangle of cell (i, j) mirrors onto the upper one of cell (j, i).  The
-first eigenfunction is positive and lambda1 simple, so u1 lies in the
-swap-symmetric subspace (Bossavit, Comput. Methods Appl. Mech. Eng. 56,
-1986), which holds k(k+1)/2 of the k^2 dof, k = m - 1.  Its orthonormal basis
-Q is 1 on a diagonal node and 1/sqrt(2) on each node of a mirrored pair.
-``Assembler.symmetric_system`` assembles Q^T A Q and Q^T M Q directly on the
-half grid, the interior nodes (i, j) with i <= j: it reads the field at the
-lower triangles only and counts each one twice, for itself and its mirror.
-The rule: a caller that needs only lambda1 solves the half system; a caller
-that needs u1 on the grid, or lambda2, solves the whole one,
-``Assembler.system``.  The half system's vectors are in the basis Q, and no
-caller reads them.
+lower triangle of cell (i, j) mirrors onto the upper one of cell (j, i).  So
+the field is read once per y, at the lower triangles only.
+``Assembler.system`` assembles on the whole grid, each lower triangle adding
+its own local entries and their mirror images, so A and M are exactly
+swap-invariant.  The first eigenfunction is positive and lambda1 simple, so
+u1 lies in the swap-symmetric subspace (Bossavit, Comput. Methods Appl. Mech.
+Eng. 56, 1986), which holds k(k+1)/2 of the k^2 dof, k = m - 1.  Its
+orthonormal basis Q is 1 on a diagonal node and 1/sqrt(2) on each node of a
+mirrored pair.  ``Assembler.symmetric_system`` assembles Q^T A Q and Q^T M Q
+directly on the half grid, the interior nodes (i, j) with i <= j, counting
+each lower triangle twice, for itself and its mirror.  The rule: a caller
+that needs only lambda1 solves the half system; a caller that needs u1 on the
+grid, or lambda2, solves the whole one.  The half system's vectors are in the
+basis Q, and no caller reads them.
 """
 
 from __future__ import annotations
@@ -47,30 +49,34 @@ __all__ = [
     "Assembler",
 ]
 
-# Per-orientation local stiffness (h-independent, |T| folded in) for the
-# lower triangle [(0,0),(h,0),(h,h)] and upper triangle [(0,0),(h,h),(0,h)].
+# Local stiffness (h-independent, |T| folded in) of the lower triangle
+# [(0,0),(h,0),(h,h)].  Its mirror image under the swap, the upper triangle
+# [(0,0),(h,h),(0,h)], has the same one with its corners in mirrored order.
 _G_LOWER = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-_G_UPPER = 0.5 * np.array([[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]])
 
 # P1 basis values at the three edge midpoints (m01, m12, m02); the mass
 # pattern for midpoint k is the outer product of row k with itself.
 _MID_PHI = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _MID_OUTER = np.einsum("kp,kq->kpq", _MID_PHI, _MID_PHI)
 
-# Corners (dx, dy) of the lower and upper triangle of a cell, in grid units.
-_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+# Corners (dx, dy) of the lower triangle of a cell, in grid units.
+_CORNERS = ((0, 0), (1, 0), (1, 1))
 # Neighbour offsets (dx, dy) of an interior node in the sparsity pattern: the
 # 7-point stencil, in the order of their columns in a CSR row.
 _STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+# Neighbour s of node (i, j) mirrors onto neighbour _TRANSPOSED[s] of (j, i).
+_TRANSPOSED = tuple(_STENCIL.index((dy, dx)) for dx, dy in _STENCIL)
 
 
 class Mesh:
     """Uniform triangulation of (0,1)^2 with (m+1)^2 vertices.
 
     Cell (i, j), numbered j * m + i, holds a lower triangle with corners
-    (i, j), (i+1, j), (i+1, j+1) and an upper one with (i, j), (i+1, j+1),
-    (i, j+1), in grid units (``_CORNERS``).  Precomputes the coordinates of
-    the three edge midpoints of every triangle.
+    (i, j), (i+1, j), (i+1, j+1), in grid units (``_CORNERS``), and an upper
+    one with (i, j), (i+1, j+1), (i, j+1): the mirror image of the lower
+    triangle of cell (j, i).  Precomputes the coordinates of the three edge
+    midpoints of every lower triangle, shape (m*m, 3); the fields are
+    swap-symmetric, so these are all the assembly reads.
     """
 
     def __init__(self, m: int):
@@ -84,20 +90,9 @@ class Mesh:
         h = self.h
         x = cells % m * h
         y = cells // m * h
-        # edge midpoints in the order (m01, m12, m02), shape (2, m*m, 3):
-        # orientation 0 = lower, 1 = upper
-        self.mid_x1 = np.stack(
-            [
-                np.stack([x + 0.5 * h, x + h, x + 0.5 * h], axis=1),
-                np.stack([x + 0.5 * h, x + 0.5 * h, x], axis=1),
-            ]
-        )
-        self.mid_x2 = np.stack(
-            [
-                np.stack([y, y + 0.5 * h, y + 0.5 * h], axis=1),
-                np.stack([y + 0.5 * h, y + h, y + 0.5 * h], axis=1),
-            ]
-        )
+        # edge midpoints in the order (m01, m12, m02)
+        self.mid_x1 = np.stack([x + 0.5 * h, x + h, x + 0.5 * h], axis=1)
+        self.mid_x2 = np.stack([y, y + 0.5 * h, y + 0.5 * h], axis=1)
 
 
 def build_mesh(m: int) -> Mesh:
@@ -174,38 +169,51 @@ def _csr_matvec(mat: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
+def _lower_slots(present: np.ndarray):
+    """Slots of the pattern whose row of node (i, j) holds its neighbours s
+    with present[j - 1, i - 1, s]: (slot, entries).
+
+    slot[j, i, s] covers every node of the grid, nnz where absent.  Entry
+    (p, q) of the lower triangle of cell (i, j) joins node (i + px, j + py)
+    to neighbour s = (qx - px, qy - py), and its mirror image joins
+    (j + py, i + px) to s transposed; entries holds (p, q, own, mirror) for
+    each, own[j, i] and mirror[j, i] their slots (views of slot).
+    """
+    m = present.shape[0] + 1
+    nnz = int(present.sum())
+    slot = np.full((m + 1, m + 1, 7), nnz)
+    slot[1:m, 1:m][present] = np.arange(nnz)
+    entries = []
+    for p, (px, py) in enumerate(_CORNERS):
+        for q, (qx, qy) in enumerate(_CORNERS):
+            s = _STENCIL.index((qx - px, qy - py))
+            entries.append((p, q, slot[py : py + m, px : px + m, s],
+                            slot[px : px + m, py : py + m, _TRANSPOSED[s]].T))
+    return slot, entries
+
+
 def _position_index(m: int):
-    """CSR pattern of the mesh matrices, and the slot of every local entry.
+    """CSR pattern of the mesh matrices, and the slots of the local entries
+    of every lower triangle and of their mirror images.
 
     The pattern is the 7-point stencil cut at the boundary, so it follows in
-    closed form.  Returns (indptr, indices, pos): pos, flat in the order
-    (o, t, p, q), is the CSR slot on which local entry (p, q) of triangle t
-    of orientation o lands; where vertex p or q is on the boundary it is
-    nnz, one past the last slot.
+    closed form.  Returns (indptr, indices, pos, weight): pos[t, 0] holds the
+    slot of every local entry (p, q) of lower triangle t, and pos[t, 1] that
+    of its mirror image on the upper triangle of the mirror cell, nnz (one
+    past the last slot) where a vertex is on the boundary; weight is all 1.
     """
     k = m - 1
     node = np.arange(1, m)
     inside = [(node + d >= 1) & (node + d <= k) for d in (-1, 0, 1)]
     # present[j, i, s]: neighbour s of interior node (i, j) is interior too
-    present = np.stack(
-        [inside[dy + 1][:, None] & inside[dx + 1][None, :] for dx, dy in _STENCIL], axis=2
-    )
-    slot = np.cumsum(present.ravel()).reshape(present.shape) - 1
+    present = np.stack([inside[dy + 1][:, None] & inside[dx + 1][None, :]
+                        for dx, dy in _STENCIL], axis=2)
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2).ravel())])
     offsets = np.array([dx + k * dy for dx, dy in _STENCIL])
     indices = (np.arange(k * k).reshape(k, k, 1) + offsets)[present]
-    pos = np.full((2, 3, 3, m, m), indices.size)
-    for o, corners in enumerate(_CORNERS):
-        for p, (px, py) in enumerate(corners):
-            for q, (qx, qy) in enumerate(corners):
-                # both vertices are interior in the cells (i, j) with
-                # 1 - min(px, qx) <= i <= k - max(px, qx), likewise for j
-                i0, i1 = 1 - min(px, qx), m - max(px, qx)
-                j0, j1 = 1 - min(py, qy), m - max(py, qy)
-                s = _STENCIL.index((qx - px, qy - py))
-                pos[o, p, q, j0:j1, i0:i1] = slot[j0 + py - 1 : j1 + py - 1,
-                                                  i0 + px - 1 : i1 + px - 1, s]
-    return indptr, indices, pos.transpose(0, 3, 4, 1, 2).ravel()
+    pos = np.array([(own, mirror) for _, _, own, mirror in _lower_slots(present)[1]])
+    pos = np.ascontiguousarray(pos.transpose(2, 3, 1, 0)).reshape(m * m, 2, 9)
+    return indptr, indices, pos, np.ones(pos.shape)
 
 
 def _half_position_index(m: int):
@@ -221,10 +229,10 @@ def _half_position_index(m: int):
     has none, and its entries land where those of its mirror do, with the
     stencil offsets transposed; one on it (i == j) has vertices (i, i),
     (i, i + 1) after the swap and (i + 1, i + 1).  Returns (indptr, indices,
-    pos, weight): pos, flat in the order (t, p, q), is the slot of entry
-    (p, q) of lower triangle t, nnz where a vertex is on the boundary;
-    weight, shape (m^2, 9), is 2 q_p q_q, with q 1 on the diagonal and
-    1/sqrt(2) off it.
+    pos, weight): row t of pos, shape (m^2, 9), is the slot of every entry
+    (p, q) of lower triangle t, nnz where a vertex is on the boundary; weight,
+    of the same shape, is 2 q_p q_q, with q 1 on the diagonal and 1/sqrt(2)
+    off it.
     """
     k = m - 1
     node = np.arange(1, m)
@@ -236,71 +244,63 @@ def _half_position_index(m: int):
         & ((node[:, None] + dy >= 1) & (node[:, None] + dy <= k))[:, None, :]
         & ((node[:, None] + dx >= 1) & (node[:, None] + dx <= k))[None, :, :]
     )
-    nnz = int(present.sum())
-    # slot[j, i, s] for every node (i, j) of the grid, nnz where absent
-    slot = np.full((m + 1, m + 1, 7), nnz)
-    slot[1:m, 1:m][present] = np.arange(nnz)
     indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2)[node[None, :] <= node[:, None]])])
     y = node[:, None] + dy
     indices = ((y * (y - 1) // 2 - 1)[:, None, :] + (node[:, None] + dx)[None, :, :])[present]
     cell = np.arange(m)
     above = cell[None, :] < cell[:, None]  # [j, i] of cell (i, j)
+    slot, entries = _lower_slots(present)
     pos = np.empty((3, 3, m, m), dtype=np.intp)
-    for p, (px, py) in enumerate(_CORNERS[0]):
-        for q, (qx, qy) in enumerate(_CORNERS[0]):
-            keep = slot[py : py + m, px : px + m, _STENCIL.index((qx - px, qy - py))]
-            flip = slot[px : px + m, py : py + m, _STENCIL.index((qy - py, qx - px))].T
-            pos[p, q] = np.where(above, keep, flip)
-            (lo_p, hi_p), (lo_q, hi_q) = sorted((px, py)), sorted((qx, qy))
-            pos[p, q, cell, cell] = slot[cell + hi_p, cell + lo_p,
-                                         _STENCIL.index((lo_q - lo_p, hi_q - hi_p))]
+    for p, q, own, mirror in entries:
+        pos[p, q] = np.where(above, own, mirror)
+        (lo_p, hi_p), (lo_q, hi_q) = sorted(_CORNERS[p]), sorted(_CORNERS[q])
+        pos[p, q, cell, cell] = slot[cell + hi_p, cell + lo_p,
+                                     _STENCIL.index((lo_q - lo_p, hi_q - hi_p))]
     # vertex p is on the diagonal in cell (c, c) where px == py, in cell
     # (c, c + 1) where px == py + 1, and in no other cell
-    px, py = np.array(_CORNERS[0]).T
+    px, py = np.array(_CORNERS).T
     table = np.array([1.0, np.sqrt(2.0), 2.0])
     weight = np.ones((m, m, 3, 3))
     for on_diagonal, rows, cols in ((px == py, cell, cell), (px == py + 1, cell[1:], cell[:-1])):
         count = on_diagonal.astype(int)
         weight[rows, cols] = table[count[:, None] + count[None, :]]
-    return indptr, indices, pos.transpose(2, 3, 0, 1).ravel(), weight.reshape(m * m, 9)
+    pos = np.ascontiguousarray(pos.transpose(2, 3, 0, 1)).reshape(m * m, 9)
+    return indptr, indices, pos, weight.reshape(m * m, 9)
 
 
 class _Fixed(NamedTuple):
     """What the mesh systems of one model on one CSR pattern share.
 
-    ``a_cache`` is the field's y-independent part at the midpoints read;
-    ``stiffness`` maps the flat per-triangle diffusion onto A's stiffness
-    data; ``M`` and ``b_data`` are the mass matrix and the reaction data;
-    ``diag_slots`` are the slots of the diagonal.
+    ``stiffness`` maps the mean diffusion of the lower triangles onto A's
+    stiffness data; ``M`` and ``b_data`` are the mass matrix and the
+    reaction data; ``diag_slots`` are the slots of the diagonal.
     """
 
-    a_cache: dict
     stiffness: Callable[[np.ndarray], np.ndarray]
     M: sp.csr_matrix
     b_data: np.ndarray
     diag_slots: np.ndarray
 
     @staticmethod
-    def build(model, x1, x2, h, indptr, indices, pos, g, weight) -> "_Fixed":
-        """The fixed part for the triangles whose field is read at (x1, x2).
+    def build(model, h, indptr, indices, pos, weight) -> "_Fixed":
+        """The fixed part of the pattern (indptr, indices).
 
-        pos is the slot of every local entry (p, q), 9 a triangle in the
-        triangle order of x1 and x2; g (triangles, 9) the local stiffness
-        and weight the factor on every local entry.
+        pos[t, ..., :] holds the slots of the local entries that lower
+        triangle t stands for, in the (p, q) order of ``_G_LOWER``, and
+        weight, of the same shape, the factor on each.
         """
-        n, nnz, cols = indptr.size - 1, indices.size, pos.size // 9
-        scale = h * h / 6.0
+        n, nnz, cols = indptr.size - 1, indices.size, pos.shape[0]
+        scale, mass = h * h / 6.0, _MID_OUTER.sum(axis=0).ravel()
 
         def scatter(f):
-            blocks = weight * (scale * (np.full(x1.shape, f) @ _MID_OUTER.reshape(3, 9)))
-            return np.bincount(pos, blocks.ravel(), nnz + 1)[:nnz]
+            return np.bincount(pos.ravel(), (weight * (scale * (f * mass))).ravel(), nnz + 1)[:nnz]
 
-        # column t of the map holds the local stiffness entries of triangle t
-        # in the rows of their slots, less the zeros and the row past the last
-        # slot (the boundary entries)
-        stiff = sp.csc_matrix(
-            ((weight * g).ravel(), pos, np.arange(0, pos.size + 1, 9)), shape=(nnz + 1, cols)
-        ).tocsr()
+        # column t of the map holds the local stiffness entries that lower
+        # triangle t stands for in the rows of their slots, less the zeros
+        # and the row past the last slot (the boundary entries)
+        stiff = sp.csc_matrix(((weight * _G_LOWER.ravel()).ravel(), pos.ravel(),
+                               np.arange(0, pos.size + 1, pos.size // cols)),
+                              shape=(nnz + 1, cols)).tocsr()
         stiff.eliminate_zeros()
         end = stiff.indptr[nnz]
         stiffness = _csr_matvec(sp.csr_matrix(
@@ -308,27 +308,28 @@ class _Fixed(NamedTuple):
         ))
         M = sp.csr_matrix((scatter(model.c), indices, indptr), shape=(n, n))
         diag_slots = np.flatnonzero(indices == np.repeat(np.arange(n), np.diff(indptr)))
-        return _Fixed(model.precompute(x1, x2), stiffness, M, scatter(model.b), diag_slots)
+        return _Fixed(stiffness, M, scatter(model.b), diag_slots)
 
 
 class Assembler:
     """Repeated assembly for one (mesh, model) pair at varying parameters.
 
     Caches the y-independent part of the diffusion field at the edge
-    midpoints (``CoefficientModel.precompute``) and, since b and c are
-    constants, the entire mass matrix and reaction contribution.  The
-    sparsity pattern does not depend on the parameters either: A shares the
-    pattern of M, and its data is one sparse product of a fixed map with the
-    per-triangle mean diffusion, plus the cached reaction data.  One position
-    index, the CSR slot of every local entry (``_position_index``), gives the
-    pattern, the mass and reaction data (one ``np.bincount`` each), the map
-    and the slots of A's diagonal.
+    midpoints of the lower triangles (``CoefficientModel.precompute``), once
+    for both grids, and, since b and c are constants, each grid's entire
+    mass matrix and reaction contribution.  The sparsity pattern does not
+    depend on the parameters either: A shares the pattern of M, and its data
+    is one sparse product of a fixed map with the mean diffusion of the lower
+    triangles, plus the cached reaction data.  One position index, the CSR
+    slot of every local entry of a lower triangle and of its mirror image
+    (``_position_index``), gives the pattern, the mass and reaction data (one
+    ``np.bincount`` each), the map and the slots of A's diagonal.
 
     ``system`` assembles on the whole grid and ``symmetric_system`` on the
     half grid (see the module docstring), whose index
-    (``_half_position_index``) also weights every local entry of a lower
-    triangle by 2 q_p q_q.  Each is set up on the first call that needs it,
-    so a caller pays only for the grid it solves on.
+    (``_half_position_index``) holds each lower triangle's entries once,
+    weighted by 2 q_p q_q.  Each grid is set up on the first call that needs
+    it, so a caller pays only for the grid it solves on.
 
     Every system checks a_lo <= a_T(y) <= a_hi (the certified range, up to
     the rounding of the three-point mean; ``ValueError`` names y and the
@@ -345,7 +346,7 @@ class Assembler:
 
     is spectrally equivalent to (A - sigma(y) M)^-1 (Knyazev & Neymeyr, Linear
     Algebra Appl. 358, 2003), where a_mean is the mean of the per-triangle
-    diffusion at y and c_mean that of the mass weight.  The same S gives each
+    diffusion at y and c_mean the mass weight c.  The same S gives each
     system's start vector, D^-1/2 times the lowest mode, sin(pi x1) sin(pi x2)
     on the interior grid.  The half system's T is Q^T T Q and its start Q^T
     times the whole grid's.
@@ -363,7 +364,8 @@ class Assembler:
         lam = 4.0 * np.sin(k * (np.pi / (2 * mesh.m))) ** 2
         self._sine_spectrum = lam[:, None] + lam[None, :]
         self._mode = np.outer(self._sine[:, 0], self._sine[:, 0])
-        self._mass_scale = 0.9 * mesh.h * mesh.h * np.full(mesh.mid_x1.shape, model.c).mean()
+        self._mass_scale = 0.9 * mesh.h * mesh.h * model.c
+        self._field = model.precompute(mesh.mid_x1, mesh.mid_x2)
 
     @functools.cached_property
     def _half(self) -> tuple:
@@ -371,9 +373,7 @@ class Assembler:
         Q r on the grid is q * r[orbit]; Q^T u is u at (i, j) plus u at
         (j, i), times 1/sqrt(2) off the diagonal and 1/2 on it (fold)."""
         mesh = self.mesh
-        indptr, indices, pos, weight = _half_position_index(mesh.m)
-        fixed = _Fixed.build(self.model, mesh.mid_x1[0], mesh.mid_x2[0], mesh.h, indptr,
-                             indices, pos, _G_LOWER.reshape(1, 9), weight)
+        fixed = _Fixed.build(self.model, mesh.h, *_half_position_index(mesh.m))
         node = np.arange(1, mesh.m)
         lo, hi = np.minimum.outer(node, node), np.maximum.outer(node, node)
         orbit = (hi * (hi - 1) // 2 + lo - 1).ravel()
@@ -385,16 +385,12 @@ class Assembler:
     @functools.cached_property
     def _full(self) -> _Fixed:
         """The whole grid's fixed part, built on first use."""
-        mesh = self.mesh
-        indptr, indices, pos = _position_index(mesh.m)
-        g = np.stack([_G_LOWER, _G_UPPER]).reshape(2, 9).repeat(mesh.m**2, axis=0)
-        return _Fixed.build(self.model, mesh.mid_x1, mesh.mid_x2, mesh.h, indptr, indices,
-                            pos, g, 1.0)
+        return _Fixed.build(self.model, self.mesh.h, *_position_index(self.mesh.m))
 
     def _assemble(self, fixed: _Fixed, y):
         """A(y) on one pattern, its shift sigma(y), T's denominator and A's diagonal."""
-        a = self.model.a_cached(fixed.a_cache, y)
-        a_mean = (a[..., 0] + a[..., 1] + a[..., 2]) / 3.0  # the bits of mean(axis=2)
+        a = self.model.a_cached(self._field, y)
+        a_mean = (a[:, 0] + a[:, 1] + a[:, 2]) / 3.0  # the bits of mean(axis=1)
         lo, hi = float(a_mean.min()), float(a_mean.max())
         if not self._a_range[0] <= lo <= hi <= self._a_range[1]:  # NaN fails too
             b = self.model.bounds
@@ -402,7 +398,7 @@ class Assembler:
                    else f"min a_T = {lo!r} < a_lo = {b.a_lo!r}")
             raise ValueError(f"y = {np.ravel(y).tolist()}: {bad}, outside the certified range")
         shift = CHI1 * lo / self.model.bounds.c_hi
-        data = fixed.stiffness(a_mean.ravel()) + fixed.b_data
+        data = fixed.stiffness(a_mean) + fixed.b_data
         A = sp.csr_matrix((data, fixed.M.indices, fixed.M.indptr), shape=fixed.M.shape)
         denom = self._sine_spectrum - self._mass_scale * shift / a_mean.mean()
         return A, shift, denom, data[fixed.diag_slots]

@@ -376,14 +376,15 @@ def emit_svg(
 ):
     """Plot transformed records as a polyline, with the fitted line if given.
 
-    Refuses an empty record list; the fit overlay is skipped when absent.
+    Refuses an empty record list; records with no positive error give the
+    frame with a note.  The fit overlay is skipped when absent.
     """
-    pts = [(TRANSFORMS[transform](t), math.log(e)) for t, e in records if e > 0.0]
-    if not pts:
+    if not records:
         raise ValueError("no records to plot")
+    pts = [(TRANSFORMS[transform](t), math.log(e)) for t, e in records if e > 0.0]
     width, height, margin = 640, 480, 60
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    xs = [p[0] for p in pts] or [0.0]
+    ys = [p[1] for p in pts] or [0.0]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0
@@ -406,7 +407,9 @@ def emit_svg(
         f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle">n</text>',
         f'<text x="16" y="{height / 2:.0f}" text-anchor="middle" '
         f'transform="rotate(-90 16 {height / 2:.0f})">{ylabel}</text>',
-        f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="1.5"/>',
+        f'<polyline points="{poly}" fill="none" stroke="steelblue" stroke-width="1.5"/>'
+        if pts else f'<text x="{width / 2:.0f}" y="{height / 2:.0f}" text-anchor="middle">'
+        "no positive error to plot</text>",
     ]
     for x, y in pts:
         parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>')

@@ -7,7 +7,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from gevrey_evp import fem
 from gevrey_evp.fem import Mesh, SparseSystem
 from gevrey_evp.qmc import PODWeights, bernoulli2
 
@@ -47,6 +46,20 @@ def random_spd_pair(rng, n):
     r = rng.standard_normal((n, n)) * 0.2
     M = r @ r.T + np.eye(n)
     return system_from_dense(A, M)
+
+
+# Local stiffness of the lower and the upper triangle of a cell, corners in
+# the order of ``triangle_dofs``.
+LOCAL_STIFFNESS = 0.5 * np.array([
+    [[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]],
+    [[1.0, 0.0, -1.0], [0.0, 1.0, -1.0], [-1.0, -1.0, 2.0]],
+])
+
+
+def mirror_cells(m: int) -> np.ndarray:
+    """Number of cell (j, i) for every cell (i, j): the upper triangle of a
+    cell is the mirror image of the lower triangle of its mirror cell."""
+    return np.arange(m * m).reshape(m, m).T.ravel()
 
 
 def triangle_dofs(mesh: Mesh) -> np.ndarray:
@@ -101,22 +114,24 @@ def scatter_blocks(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
 
 
 def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from per-triangle mean diffusion to the data of A, by search.
+    """Sparse map from the mean diffusion of the lower triangles to the data
+    of A, by search.
 
     Row k holds the local stiffness entries that land on the k-th stored
-    entry of the CSR pattern (indptr, indices); column o * m^2 + t belongs to
-    triangle t of orientation o.  Each entry's slot is found by a binary
-    search over the (row, column) keys of the pattern.
+    entry of the CSR pattern (indptr, indices); column t belongs to lower
+    triangle t and to its mirror image, the upper triangle of the mirror
+    cell, which takes its field.  Each entry's slot is found by a binary
+    search over the (row, column) keys of the pattern.  Within a row the
+    entries are in column order, a lower triangle's own entry before its
+    mirror's, and entries on one slot and column are kept apart, not summed.
     """
     n = mesh.n_dof
-    n_cells = mesh.m * mesh.m
     tri_dofs = triangle_dofs(mesh)
     # one key per stored entry, ascending: CSR rows with sorted indices
     keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-    cells = np.arange(n_cells, dtype=np.int64)
+    columns = (np.arange(mesh.m * mesh.m), mirror_cells(mesh.m))
     pos, col, val = [], [], []
-    for o, g in enumerate((fem._G_LOWER, fem._G_UPPER)):
-        dofs = tri_dofs[o]
+    for dofs, g, cells in zip(tri_dofs, LOCAL_STIFFNESS, columns):
         for p in range(3):
             for q in range(3):
                 if g[p, q] == 0.0:
@@ -125,12 +140,12 @@ def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr
                 c = dofs[:, q]
                 keep = (r >= 0) & (c >= 0)
                 pos.append(np.searchsorted(keys, r[keep] * n + c[keep]))
-                col.append(o * n_cells + cells[keep])
+                col.append(cells[keep])
                 val.append(np.full(pos[-1].size, g[p, q]))
-    return sp.csr_matrix(
-        (np.concatenate(val), (np.concatenate(pos), np.concatenate(col))),
-        shape=(keys.size, 2 * n_cells),
-    )
+    pos, col, val = np.concatenate(pos), np.concatenate(col), np.concatenate(val)
+    order = np.lexsort((col, pos))  # stable: own entries stay first
+    starts = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=keys.size))])
+    return sp.csr_matrix((val[order], col[order], starts), shape=(keys.size, mesh.m * mesh.m))
 
 
 def pod_weight(w: PODWeights, u) -> float:

@@ -249,7 +249,7 @@ class TestSeriesField:
 
     def test_field_cache_is_small(self):
         # per-axis sine values and one index: a (points x terms) table at
-        # m = 128 would hold 6 m^2 x 100 doubles, 79 MB
+        # m = 128 would hold 3 m^2 x 100 doubles, 39 MB
         mesh = build_mesh(128)
         model = model_by_name("qmc-analytic")
         tracemalloc.start()
@@ -259,7 +259,7 @@ class TestSeriesField:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert cache["U1"].shape == (2 * 128 + 1, 100)
+        assert cache["U1"].shape == (2 * 128, 100)
         assert held < 2e6
 
 

@@ -378,8 +378,9 @@ class TestExits:
     """Each exit of the shared stopping rule, reached by lambda1 and lambda2.
 
     Which fallback a tol below the rounding floor leaves through depends on
-    the last bits of the iterates; these cases were found with OpenBLAS held
-    at one thread, as every solve holds it.
+    the last bits of the iterates, so the y of each case is picked from a
+    39-point grid on [-0.95, 0.95], with OpenBLAS held at one thread, as
+    every solve holds it.
     """
 
     def _pairs(self, y, tol):
@@ -396,16 +397,12 @@ class TestExits:
         assert (p1.exit_reason, p2.exit_reason) == ("step", "step")
 
     def test_residual_floor_exit(self):
-        p1, p2 = self._pairs([0.0], 1e-20)
+        p1, p2 = self._pairs([0.5], 1e-20)
         assert (p1.exit_reason, p2.exit_reason) == ("floor", "floor")
 
     def test_plateau_exit(self):
-        # no y of a 39-point grid on [-0.95, 0.95] sends both pairs through
-        # the plateau, so each reaches it at a y of its own
-        p1, p2 = self._pairs([-0.3], 1e-20)
-        assert (p1.exit_reason, p2.exit_reason) == ("plateau", "floor")
-        p1, p2 = self._pairs([-0.55], 1e-20)
-        assert (p1.exit_reason, p2.exit_reason) == ("floor", "plateau")
+        p1, p2 = self._pairs([-0.65], 1e-20)
+        assert (p1.exit_reason, p2.exit_reason) == ("plateau", "plateau")
 
     def test_unconverged_pair_has_no_exit(self):
         sysm = Assembler(build_mesh(8), model_by_name("gl-analytic")).system([0.0])

@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from support import random_spd_pair, scatter_blocks, stiffness_map
+from support import (LOCAL_STIFFNESS, mirror_cells, random_spd_pair, scatter_blocks,
+                     stiffness_map)
 
 from gevrey_evp import fem
 from gevrey_evp.coefficients import CHI1, MODEL_NAMES, CoefficientModel, model_by_name
@@ -66,14 +67,15 @@ class TestAssembly:
         ids=[*MODEL_NAMES, "constant-reaction"],
     )
     def test_fixed_pattern_matches_scatter(self, model):
-        # reference: the per-triangle blocks scattered through COO -> CSR
-        g = np.stack([fem._G_LOWER, fem._G_UPPER])
+        # reference: the per-triangle blocks of both orientations scattered
+        # through COO -> CSR, the upper triangle of cell (j, i) taking the
+        # field of the lower triangle of cell (i, j)
         rng = np.random.default_rng(11)
         for m in (2, 3, 11):
             mesh = build_mesh(m)
             asm = Assembler(mesh, model)
             scale = mesh.h * mesh.h / 6.0
-            blocks = {name: scale * np.einsum("otk,kpq->otpq", np.full(mesh.mid_x1.shape, f),
+            blocks = {name: scale * np.einsum("otk,kpq->otpq", np.full((2, m * m, 3), f),
                                               fem._MID_OUTER)
                       for name, f in (("b", model.b), ("c", model.c))}
             M = scatter_blocks(mesh, blocks["c"])
@@ -87,8 +89,10 @@ class TestAssembly:
             cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
             for _ in range(3):
                 y = (rng.random(min(model.dim, 20)) - 0.5) * model.param_halfwidth
-                a_mean = model.a_cached(cache, y).mean(axis=2)
-                ref = scatter_blocks(mesh, np.einsum("ot,opq->otpq", a_mean, g) + blocks["b"])
+                a_mean = model.a_cached(cache, y).mean(axis=1)
+                both = np.stack([a_mean, a_mean[mirror_cells(m)]])
+                ref = scatter_blocks(
+                    mesh, np.einsum("ot,opq->otpq", both, LOCAL_STIFFNESS) + blocks["b"])
                 A = asm.system(y).A
                 assert np.array_equal(A.data[asm._full.diag_slots], A.diagonal())
                 assert np.array_equal(A.indptr, ref.indptr)
@@ -99,7 +103,7 @@ class TestAssembly:
                 assert np.all(np.abs(A.data - ref.data) <= 2 * np.spacing(np.abs(ref.data)))
                 # the map found by binary search over the pattern gives A bit
                 # for bit
-                assert np.array_equal(A.data, search_map @ a_mean.ravel() + asm._full.b_data)
+                assert np.array_equal(A.data, search_map @ a_mean + asm._full.b_data)
 
     def test_coercivity_vs_unit_stiffness(self):
         # discrete analogue of a_lo ||v||^2 <= A_y(v, v)
@@ -177,17 +181,49 @@ class TestSymmetricSystem:
         # (j, i), its midpoints (m01, m12, m02) onto (m02, m12, m01)
         m = 12
         mesh = build_mesh(m)
+        h = 1.0 / m
+        x, y = np.arange(m * m) % m * h, np.arange(m * m) // m * h
+        # midpoints of the upper triangles [(0,0), (h,h), (0,h)]
+        upper_x1 = np.stack([x + 0.5 * h, x + 0.5 * h, x], axis=1)
+        upper_x2 = np.stack([y + 0.5 * h, y + h, y + 0.5 * h], axis=1)
 
         def mirrored(f):
-            return f[1].reshape(m, m, 3).transpose(1, 0, 2)[..., ::-1].reshape(m * m, 3)
+            return f.reshape(m, m, 3).transpose(1, 0, 2)[..., ::-1].reshape(m * m, 3)
 
-        assert np.array_equal(mesh.mid_x1[0], mirrored(mesh.mid_x2))
-        assert np.array_equal(mesh.mid_x2[0], mirrored(mesh.mid_x1))
-        cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
+        assert np.array_equal(mesh.mid_x1, mirrored(upper_x2))
+        assert np.array_equal(mesh.mid_x2, mirrored(upper_x1))
+        lower = model.precompute(mesh.mid_x1, mesh.mid_x2)
+        upper = model.precompute(upper_x1, upper_x2)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            a = model.a_cached(cache, random_y(model, rng))
-            assert np.all(np.abs(a[0] - mirrored(a)) <= 4 * np.spacing(np.abs(a[0])))
+            y = random_y(model, rng)
+            a, b = model.a_cached(lower, y), mirrored(model.a_cached(upper, y))
+            assert np.all(np.abs(a - b) <= 4 * np.spacing(np.abs(a)))
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_whole_grid_is_swap_invariant(self, model):
+        # each lower triangle stands for its mirror image too, so swapping
+        # x1 and x2 leaves A and M unchanged bit for bit
+        rng = np.random.default_rng(6)
+        for m in (2, 3, 8, 13, 32):
+            k = m - 1
+            swap = np.arange(k * k).reshape(k, k).T.ravel()
+            sysm = Assembler(build_mesh(m), model).system(random_y(model, rng))
+            for mat in (sysm.A, sysm.M):
+                swapped = mat[swap][:, swap].tocsr()
+                swapped.sort_indices()
+                assert np.array_equal(swapped.indptr, mat.indptr)
+                assert np.array_equal(swapped.indices, mat.indices)
+                assert np.array_equal(swapped.data, mat.data)
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_both_grids_share_the_shift(self, model):
+        # both read the field at the lower triangles, so min_T a_T(y) agrees
+        rng = np.random.default_rng(7)
+        for m in (2, 5, 16):
+            asm = Assembler(build_mesh(m), model)
+            y = random_y(model, rng)
+            assert asm.system(y).shift == asm.symmetric_system(y).shift
 
     @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
     def test_half_lambda1_is_lambda1(self, model):

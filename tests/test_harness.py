@@ -196,6 +196,13 @@ class TestCsvSvg:
         with pytest.raises(ValueError):
             emit_svg([], None, tmp_path / "x.svg", "log-vs-n")
 
+    def test_svg_of_zero_errors_is_a_note(self, tmp_path):
+        path = tmp_path / "zero.svg"
+        emit_svg([(2, 0.0), (4, 0.0)], None, path, "loglog", title="flat")
+        text = path.read_text()
+        assert "<rect" in text and "flat [loglog]" in text
+        assert "no positive error to plot" in text and "polyline" not in text
+
     def test_svg_without_fit(self, tmp_path):
         path = tmp_path / "two.svg"
         emit_svg([(1, 0.5), (2, 0.1)], None, path, "log-vs-n")
@@ -479,6 +486,21 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {table}: no 'index amplitude' lines")
+
+    def test_study_with_zero_errors_plots_a_note(self, tmp_path, capsys):
+        # the constant model's lambda1 is the same at every point, so every
+        # RMSE is exactly 0
+        out, svg = tmp_path / "q.csv", tmp_path / "q.svg"
+        code = main(["qmc-study", "--model", "constant", "--m", "4", "--s", "1",
+                     "--levels", "1..2", "--shifts", "2", "--mc-shifts", "2",
+                     "--out", str(out), "--svg", str(svg)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        _, _, rows = read_csv(out)
+        assert [row[1:] for row in rows] == [(0.0, 0.0), (0.0, 0.0)]
+        text = svg.read_text()
+        assert "constant QMC error [loglog]" in text
+        assert "no positive error to plot" in text
 
     def test_mc_study_reduced(self, tmp_path, capsys):
         out = tmp_path / "mc.csv"
