@@ -148,6 +148,12 @@ def _one_blas_thread():
                     put(n)
 
 
+def _tol_problem(tol: float) -> str | None:
+    """Why tol is unusable as a relative tolerance, or None where it is finite
+    with 0 < tol < 1; the one tol rule of the solver and the config."""
+    return None if 0.0 < tol < 1.0 else "tol must be positive and below 1"
+
+
 @_one_blas_thread()
 def _iterate(
     sys: SparseSystem, x0: np.ndarray, tol: float, max_iter: int, deflate=None
@@ -164,7 +170,8 @@ def _iterate(
 
     With ``deflate`` (an M-normalized vector u1) the start, every w and every
     new iterate are M-projected against u1, so the loop runs in the
-    M-complement of u1; without it the projection is the identity.
+    M-complement of u1; without it the projection is the identity.  A tol
+    outside (0, 1), NaN included, raises ``ValueError``.
 
     The exits, tried in this order after every step:
 
@@ -176,8 +183,9 @@ def _iterate(
     - ``"plateau"``: no residual gain in 10 steps, and the last 8 lambdas lie
       within 100 ulps of each other.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    problem = _tol_problem(tol)
+    if problem:
+        raise ValueError(f"{problem}, got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     A, M, precondition = _csr_matvec(sys.A), _csr_matvec(sys.M), sys.precondition

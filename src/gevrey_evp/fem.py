@@ -15,16 +15,18 @@ assembly is bit-reproducible.
 
 Every model is symmetric under the swap x1 <-> x2, and the mesh is too: the
 lower triangle of cell (i, j) mirrors onto the upper one of cell (j, i).  So
-the field is read once per y, at the lower triangles only.
-``Assembler.system`` assembles on the whole grid, each lower triangle adding
-its own local entries and their mirror images, so A and M are exactly
-swap-invariant.  The first eigenfunction is positive and lambda1 simple, so
-u1 lies in the swap-symmetric subspace (Bossavit, Comput. Methods Appl. Mech.
-Eng. 56, 1986), which holds k(k+1)/2 of the k^2 dof, k = m - 1.  Its
-orthonormal basis Q is 1 on a diagonal node and 1/sqrt(2) on each node of a
-mirrored pair.  ``Assembler.symmetric_system`` assembles Q^T A Q and Q^T M Q
-directly on the half grid, the interior nodes (i, j) with i <= j, counting
-each lower triangle twice, for itself and its mirror.  The rule: a caller
+the field is read once per y, at the lower triangles only, and each local
+entry of a lower triangle has two CSR slots: one under its own nodes and one
+under their mirror images.  ``Assembler.system`` assembles on the whole grid
+and keeps both, so A and M are exactly swap-invariant.  The first
+eigenfunction is positive and lambda1 simple, so u1 lies in the
+swap-symmetric subspace (Bossavit, Comput. Methods Appl. Mech. Eng. 56,
+1986), which holds k(k+1)/2 of the k^2 dof, k = m - 1.  Its orthonormal basis
+Q is 1 on a diagonal node and 1/sqrt(2) on each node of a mirrored pair.
+``Assembler.symmetric_system`` assembles Q^T A Q and Q^T M Q directly on the
+half grid, the interior nodes (i, j) with i <= j: it keeps the slot whose
+nodes lie in the half, the own one above the diagonal and the mirror one on
+and below it, weighted by 2 q_p q_q (``_grid_index``).  The rule: a caller
 that needs only lambda1 solves the half system; a caller that needs u1 on the
 grid, or lambda2, solves the whole one.  The half system's vectors are in the
 basis Q, and no caller reads them.
@@ -33,6 +35,7 @@ basis Q, and no caller reads them.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -169,102 +172,56 @@ def _csr_matvec(mat: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
-def _lower_slots(present: np.ndarray):
-    """Slots of the pattern whose row of node (i, j) holds its neighbours s
-    with present[j - 1, i - 1, s]: (slot, entries).
+def _grid_index(m: int, half: bool):
+    """CSR pattern of the matrices on the whole grid, or on the half grid, and
+    the slot and weight of every local entry of a lower triangle.
 
-    slot[j, i, s] covers every node of the grid, nnz where absent.  Entry
-    (p, q) of the lower triangle of cell (i, j) joins node (i + px, j + py)
-    to neighbour s = (qx - px, qy - py), and its mirror image joins
-    (j + py, i + px) to s transposed; entries holds (p, q, own, mirror) for
-    each, own[j, i] and mirror[j, i] their slots (views of slot).
-    """
-    m = present.shape[0] + 1
-    nnz = int(present.sum())
-    slot = np.full((m + 1, m + 1, 7), nnz)
-    slot[1:m, 1:m][present] = np.arange(nnz)
-    entries = []
-    for p, (px, py) in enumerate(_CORNERS):
-        for q, (qx, qy) in enumerate(_CORNERS):
-            s = _STENCIL.index((qx - px, qy - py))
-            entries.append((p, q, slot[py : py + m, px : px + m, s],
-                            slot[px : px + m, py : py + m, _TRANSPOSED[s]].T))
-    return slot, entries
-
-
-def _position_index(m: int):
-    """CSR pattern of the mesh matrices, and the slots of the local entries
-    of every lower triangle and of their mirror images.
-
-    The pattern is the 7-point stencil cut at the boundary, so it follows in
-    closed form.  Returns (indptr, indices, pos, weight): pos[t, 0] holds the
-    slot of every local entry (p, q) of lower triangle t, and pos[t, 1] that
-    of its mirror image on the upper triangle of the mirror cell, nnz (one
-    past the last slot) where a vertex is on the boundary; weight is all 1.
+    A row is an interior node (i, j), numbered lexicographically; on the half
+    grid only a node with i <= j is, numbered j (j - 1) / 2 + i - 1, and it
+    stands for its orbit {(i, j), (j, i)}.  A row holds those of its stencil
+    neighbours that are rows too, in column order.  Entry (p, q) of the lower
+    triangle of cell (i, j) joins node (i + px, j + py) to its neighbour
+    s = (qx - px, qy - py), and its mirror image joins node (j + py, i + px)
+    to neighbour ``_TRANSPOSED[s]``.  The whole grid keeps both, with weight
+    1.  The half grid keeps the own entry above the diagonal (i < j), where
+    every vertex is in the half, and the mirror entry on and below it, where
+    every mirrored vertex is (px >= py), with weight 2 q_p q_q: q is 1 on the
+    diagonal and 1/sqrt(2) off it.  Returns (indptr, indices, pos, weight):
+    pos[t], shape (2, 9) on the whole grid and (9,) on the half, holds the
+    slots of the entries (p, q) of lower triangle t, nnz (one past the last
+    slot) where a vertex is on the boundary; weight has the shape of pos.
     """
     k = m - 1
-    node = np.arange(1, m)
-    inside = [(node + d >= 1) & (node + d <= k) for d in (-1, 0, 1)]
-    # present[j, i, s]: neighbour s of interior node (i, j) is interior too
-    present = np.stack([inside[dy + 1][:, None] & inside[dx + 1][None, :]
-                        for dx, dy in _STENCIL], axis=2)
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2).ravel())])
-    offsets = np.array([dx + k * dy for dx, dy in _STENCIL])
-    indices = (np.arange(k * k).reshape(k, k, 1) + offsets)[present]
-    pos = np.array([(own, mirror) for _, _, own, mirror in _lower_slots(present)[1]])
-    pos = np.ascontiguousarray(pos.transpose(2, 3, 1, 0)).reshape(m * m, 2, 9)
-    return indptr, indices, pos, np.ones(pos.shape)
-
-
-def _half_position_index(m: int):
-    """CSR pattern of the half-grid matrices, and the slot and weight of every
-    local entry of a lower triangle.
-
-    Half node (i, j), i <= j, stands for the orbit {(i, j), (j, i)}; its
-    number is j (j - 1) / 2 + i - 1.  Its row holds the stencil neighbours
-    (i + dx, j + dy) that are interior and have i + dx <= j + dy: off the
-    diagonal every neighbour has, and on it the mirror pairs (1, 0), (0, 1)
-    and (0, -1), (-1, 0) are one orbit each.  A lower triangle above the
-    diagonal (cell i < j) has every vertex in the half; one below it (i > j)
-    has none, and its entries land where those of its mirror do, with the
-    stencil offsets transposed; one on it (i == j) has vertices (i, i),
-    (i, i + 1) after the swap and (i + 1, i + 1).  Returns (indptr, indices,
-    pos, weight): row t of pos, shape (m^2, 9), is the slot of every entry
-    (p, q) of lower triangle t, nnz where a vertex is on the boundary; weight,
-    of the same shape, is 2 q_p q_q, with q 1 on the diagonal and 1/sqrt(2)
-    off it.
-    """
-    k = m - 1
-    node = np.arange(1, m)
-    dx, dy = np.array(_STENCIL).T
-    # present[j - 1, i - 1, s]: node (i, j) is in the half, and so is its
-    # neighbour s, which is interior
-    present = (
-        ((node[:, None] - node[None, :])[..., None] >= np.maximum(dx - dy, 0))
-        & ((node[:, None] + dy >= 1) & (node[:, None] + dy <= k))[:, None, :]
-        & ((node[:, None] + dx >= 1) & (node[:, None] + dx <= k))[None, :, :]
-    )
-    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2)[node[None, :] <= node[:, None]])])
-    y = node[:, None] + dy
-    indices = ((y * (y - 1) // 2 - 1)[:, None, :] + (node[:, None] + dx)[None, :, :])[present]
-    cell = np.arange(m)
-    above = cell[None, :] < cell[:, None]  # [j, i] of cell (i, j)
-    slot, entries = _lower_slots(present)
-    pos = np.empty((3, 3, m, m), dtype=np.intp)
-    for p, q, own, mirror in entries:
-        pos[p, q] = np.where(above, own, mirror)
-        (lo_p, hi_p), (lo_q, hi_q) = sorted(_CORNERS[p]), sorted(_CORNERS[q])
-        pos[p, q, cell, cell] = slot[cell + hi_p, cell + lo_p,
-                                     _STENCIL.index((lo_q - lo_p, hi_q - hi_p))]
+    rows = np.tri(k, dtype=bool) if half else np.ones((k, k), dtype=bool)  # [j - 1, i - 1]
+    number = np.full((m + 1, m + 1), -1)
+    number[1:m, 1:m][rows] = np.arange(rows.sum())
+    # column[j - 1, i - 1, s]: the row of neighbour s of node (i, j), -1 if it is none
+    column = np.stack([number[1 + dy : m + dy, 1 + dx : m + dx] for dx, dy in _STENCIL], axis=2)
+    present = rows[..., None] & (column >= 0)
+    indptr = np.concatenate([[0], np.cumsum(present.sum(axis=2)[rows])])
+    indices = column[present]
+    slot = np.full((m + 1, m + 1, 7), indices.size)
+    slot[1:m, 1:m][present] = np.arange(indices.size)
+    above = np.tri(m, k=-1, dtype=bool)  # [j, i]: cell (i, j) lies above the diagonal
+    pos = []
+    for (px, py), (qx, qy) in itertools.product(_CORNERS, repeat=2):
+        s = _STENCIL.index((qx - px, qy - py))
+        own = slot[py : py + m, px : px + m, s]
+        mirror = slot[px : px + m, py : py + m, _TRANSPOSED[s]].T
+        pos.append(np.where(above, own, mirror) if half else (own, mirror))
+    if not half:
+        pos = np.ascontiguousarray(np.transpose(pos, (2, 3, 1, 0))).reshape(m * m, 2, 9)
+        return indptr, indices, pos, np.ones(pos.shape)
+    pos = np.ascontiguousarray(np.transpose(pos, (1, 2, 0))).reshape(m * m, 9)
     # vertex p is on the diagonal in cell (c, c) where px == py, in cell
     # (c, c + 1) where px == py + 1, and in no other cell
+    cell = np.arange(m)
     px, py = np.array(_CORNERS).T
     table = np.array([1.0, np.sqrt(2.0), 2.0])
     weight = np.ones((m, m, 3, 3))
-    for on_diagonal, rows, cols in ((px == py, cell, cell), (px == py + 1, cell[1:], cell[:-1])):
+    for on_diagonal, j, i in ((px == py, cell, cell), (px == py + 1, cell[1:], cell[:-1])):
         count = on_diagonal.astype(int)
-        weight[rows, cols] = table[count[:, None] + count[None, :]]
-    pos = np.ascontiguousarray(pos.transpose(2, 3, 0, 1)).reshape(m * m, 9)
+        weight[j, i] = table[count[:, None] + count[None, :]]
     return indptr, indices, pos, weight.reshape(m * m, 9)
 
 
@@ -320,16 +277,14 @@ class Assembler:
     mass matrix and reaction contribution.  The sparsity pattern does not
     depend on the parameters either: A shares the pattern of M, and its data
     is one sparse product of a fixed map with the mean diffusion of the lower
-    triangles, plus the cached reaction data.  One position index, the CSR
-    slot of every local entry of a lower triangle and of its mirror image
-    (``_position_index``), gives the pattern, the mass and reaction data (one
-    ``np.bincount`` each), the map and the slots of A's diagonal.
+    triangles, plus the cached reaction data.  A grid's index
+    (``_grid_index``), the CSR slots and weights of the local entries of
+    every lower triangle, gives its pattern, its mass and reaction data (one
+    ``np.bincount`` each), its map and the slots of A's diagonal.
 
     ``system`` assembles on the whole grid and ``symmetric_system`` on the
-    half grid (see the module docstring), whose index
-    (``_half_position_index``) holds each lower triangle's entries once,
-    weighted by 2 q_p q_q.  Each grid is set up on the first call that needs
-    it, so a caller pays only for the grid it solves on.
+    half grid (see the module docstring).  Each grid is set up on the first
+    call that needs it, so a caller pays only for the grid it solves on.
 
     Every system checks a_lo <= a_T(y) <= a_hi (the certified range, up to
     the rounding of the three-point mean; ``ValueError`` names y and the
@@ -373,7 +328,7 @@ class Assembler:
         Q r on the grid is q * r[orbit]; Q^T u is u at (i, j) plus u at
         (j, i), times 1/sqrt(2) off the diagonal and 1/2 on it (fold)."""
         mesh = self.mesh
-        fixed = _Fixed.build(self.model, mesh.h, *_half_position_index(mesh.m))
+        fixed = _Fixed.build(self.model, mesh.h, *_grid_index(mesh.m, half=True))
         node = np.arange(1, mesh.m)
         lo, hi = np.minimum.outer(node, node), np.maximum.outer(node, node)
         orbit = (hi * (hi - 1) // 2 + lo - 1).ravel()
@@ -385,7 +340,7 @@ class Assembler:
     @functools.cached_property
     def _full(self) -> _Fixed:
         """The whole grid's fixed part, built on first use."""
-        return _Fixed.build(self.model, self.mesh.h, *_position_index(self.mesh.m))
+        return _Fixed.build(self.model, self.mesh.h, *_grid_index(self.mesh.m, half=False))
 
     def _assemble(self, fixed: _Fixed, y):
         """A(y) on one pattern, its shift sigma(y), T's denominator and A's diagonal."""

@@ -565,14 +565,24 @@ def save_vector(path, z: Sequence[int], s: int, n: int) -> None:
 
 
 def load_vector(path) -> tuple[np.ndarray, int, int]:
-    """Read a generating vector file; returns (z, s, n)."""
+    """Read a generating vector file; returns (z, s, n).  A bad line raises
+    ``ValueError`` naming ``path:line``."""
+    z = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         m = re.match(r"^#\s+(\d+)\s+(\d+)\s*$", header)
         if not m:
             raise ValueError(f"{path}: expected '# s n' header, got {header!r}")
         s, n = int(m.group(1)), int(m.group(2))
-        z = np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                z.append(int(line))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected one integer component, "
+                                 f"got {line.strip()!r}") from None
+    z = np.array(z, dtype=np.int64)
     if z.size != s:
         raise ValueError(f"{path}: expected {s} components, found {z.size}")
     return z, s, n

@@ -113,39 +113,71 @@ def scatter_blocks(mesh: Mesh, values: np.ndarray) -> sp.csr_matrix:
     return mat
 
 
-def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
-    """Sparse map from the mean diffusion of the lower triangles to the data
-    of A, by search.
+def _map_by_search(indptr: np.ndarray, indices: np.ndarray, n_cols: int, entries) -> sp.csr_matrix:
+    """Sparse map whose row k holds the local entries that land on the k-th
+    stored entry of the CSR pattern (indptr, indices).
 
-    Row k holds the local stiffness entries that land on the k-th stored
-    entry of the CSR pattern (indptr, indices); column t belongs to lower
-    triangle t and to its mirror image, the upper triangle of the mirror
-    cell, which takes its field.  Each entry's slot is found by a binary
-    search over the (row, column) keys of the pattern.  Within a row the
-    entries are in column order, a lower triangle's own entry before its
-    mirror's, and entries on one slot and column are kept apart, not summed.
+    ``entries`` holds batches (rows, cols, cells, values): a batch's entry e
+    joins pattern row rows[e] to column cols[e] (-1 on the boundary, where it
+    is dropped) and goes in map column cells[e].  Each entry's slot is found
+    by a binary search over the (row, column) keys of the pattern.  Within a
+    row the entries are in map-column order, those of one column in batch
+    order, and entries on one slot and column are kept apart, not summed.
     """
-    n = mesh.n_dof
-    tri_dofs = triangle_dofs(mesh)
+    n = indptr.size - 1
     # one key per stored entry, ascending: CSR rows with sorted indices
     keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n + indices
-    columns = (np.arange(mesh.m * mesh.m), mirror_cells(mesh.m))
     pos, col, val = [], [], []
-    for dofs, g, cells in zip(tri_dofs, LOCAL_STIFFNESS, columns):
-        for p in range(3):
-            for q in range(3):
-                if g[p, q] == 0.0:
-                    continue
-                r = dofs[:, p]
-                c = dofs[:, q]
-                keep = (r >= 0) & (c >= 0)
-                pos.append(np.searchsorted(keys, r[keep] * n + c[keep]))
-                col.append(cells[keep])
-                val.append(np.full(pos[-1].size, g[p, q]))
+    for rows, cols, cells, values in entries:
+        keep = (rows >= 0) & (cols >= 0)
+        pos.append(np.searchsorted(keys, rows[keep] * n + cols[keep]))
+        col.append(cells[keep])
+        val.append(np.broadcast_to(values, rows.shape)[keep])
     pos, col, val = np.concatenate(pos), np.concatenate(col), np.concatenate(val)
-    order = np.lexsort((col, pos))  # stable: own entries stay first
+    order = np.lexsort((col, pos))  # stable: batch order within a column
     starts = np.concatenate([[0], np.cumsum(np.bincount(pos, minlength=keys.size))])
-    return sp.csr_matrix((val[order], col[order], starts), shape=(keys.size, mesh.m * mesh.m))
+    return sp.csr_matrix((val[order], col[order], starts), shape=(keys.size, n_cols))
+
+
+def stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from the mean diffusion of the lower triangles to the data
+    of A, by search (``_map_by_search``).
+
+    Column t belongs to lower triangle t and to its mirror image, the upper
+    triangle of the mirror cell, which takes its field; a lower triangle's
+    own entry comes before its mirror's.
+    """
+    columns = (np.arange(mesh.m * mesh.m), mirror_cells(mesh.m))
+    entries = [(dofs[:, p], dofs[:, q], cells, g[p, q])
+               for dofs, g, cells in zip(triangle_dofs(mesh), LOCAL_STIFFNESS, columns)
+               for p in range(3) for q in range(3) if g[p, q] != 0.0]
+    return _map_by_search(indptr, indices, mesh.m * mesh.m, entries)
+
+
+def half_stiffness_map(mesh: Mesh, indptr: np.ndarray, indices: np.ndarray) -> sp.csr_matrix:
+    """Sparse map from the mean diffusion of the lower triangles to the data
+    of the half grid's A, by search (``_map_by_search``).
+
+    A vertex stands for its orbit under the swap, the half node of its
+    sorted corners (lo, hi), numbered hi (hi - 1) / 2 + lo - 1.  Local entry
+    (p, q) of lower triangle t lands on the orbits of its two vertices with
+    weight 2 q_p q_q = sqrt(4 / (n_p n_q)), n the size of the orbit: its
+    mirror image lands there too.
+    """
+    m = mesh.m
+    cells = np.arange(m * m)
+
+    def orbit(x, y):
+        lo, hi = np.minimum(x, y), np.maximum(x, y)
+        inner = (lo >= 1) & (hi <= m - 1)
+        return np.where(inner, hi * (hi - 1) // 2 + lo - 1, -1), np.where(lo == hi, 1, 2)
+
+    corners = ((0, 0), (1, 0), (1, 1))
+    node, size = zip(*(orbit(cells % m + dx, cells // m + dy) for dx, dy in corners))
+    g = LOCAL_STIFFNESS[0]
+    entries = [(node[p], node[q], cells, np.sqrt(4.0 / (size[p] * size[q])) * g[p, q])
+               for p in range(3) for q in range(3) if g[p, q] != 0.0]
+    return _map_by_search(indptr, indices, m * m, entries)
 
 
 def pod_weight(w: PODWeights, u) -> float:

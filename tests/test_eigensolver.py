@@ -111,6 +111,13 @@ class TestContracts:
             smallest_eigenpair(sysm, tol=0)
         with pytest.raises(ValueError, match="tol must be positive"):
             second_eigenpair(sysm, p1, tol=-1)
+        # a NaN tol ran to the plateau exit, and one of 1 or more stopped
+        # after two steps
+        for tol in (float("nan"), float("inf"), 1.0):
+            with pytest.raises(ValueError, match="tol must be positive and below 1"):
+                smallest_eigenpair(sysm, tol=tol)
+            with pytest.raises(ValueError, match="tol must be positive and below 1"):
+                second_eigenpair(sysm, p1, tol=tol)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             smallest_eigenpair(sysm, max_iter=0)
         with pytest.raises(ValueError, match="max_iter must be at least 1"):

@@ -64,7 +64,8 @@ def test_csv_bytes_independent_of_blas_threads(tmp_path):
 def test_bench_probe_installs(tmp_path):
     # the benchmark wraps the solvers and studies by name, re-runs kept lambda1
     # calls capped at one iteration and re-solves their `sys` with scipy; a
-    # rename or a system it cannot read fails here, not in a bench run
+    # rename or a system it cannot read fails here, not in a bench run.  It
+    # keeps a whole-grid solve and a half-grid one, as the lambda1 maps solve.
     out = _run(f"""
 import importlib.util, inspect
 from gevrey_evp import coefficients, eigensolver, fem, qmc, quad1d
@@ -87,15 +88,17 @@ for traced in (False, True):
     p.install()
     p.uninstall()
     assert [dict(vars(o)) for o in owners] == before
-p = probe.Probe(True, frozenset({{0}}))
+p = probe.Probe(True, frozenset({{0, 1}}))
 p.install()
 p.begin_study()
-model = coefficients.model_by_name("gl-analytic")
-eigensolver.smallest_eigenpair(fem.Assembler(fem.build_mesh(8), model).system([0.3]))
+asm = fem.Assembler(fem.build_mesh(8), coefficients.model_by_name("gl-analytic"))
+eigensolver.smallest_eigenpair(asm.system([0.3]))
+quad1d.smallest_eigenpair(asm.symmetric_system([0.3]))
 p.end_study()
 metrics = probe.layer_metrics(p)
 p.uninstall()
-assert metrics["eigensolver.solves"] == (1, "count"), metrics
+assert metrics["eigensolver.solves"] == (2, "count"), metrics
+assert sorted(p.kept) == [0, 1], sorted(p.kept)
 assert metrics["eigensolver.fixed_ms"][0] > 0.0, metrics
 assert workloads.check_kept(p) == [], workloads.check_kept(p)
 print("ok")

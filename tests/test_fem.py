@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from support import (LOCAL_STIFFNESS, mirror_cells, random_spd_pair, scatter_blocks,
-                     stiffness_map)
+from support import (LOCAL_STIFFNESS, half_stiffness_map, mirror_cells, random_spd_pair,
+                     scatter_blocks, stiffness_map)
 
 from gevrey_evp import fem
 from gevrey_evp.coefficients import CHI1, MODEL_NAMES, CoefficientModel, model_by_name
@@ -174,6 +174,22 @@ class TestSymmetricSystem:
             ref = Q.T @ whole.start
             assert np.max(np.abs(half.start - ref)) <= 1e-14 * np.max(np.abs(ref))
             assert half.shift == pytest.approx(whole.shift, rel=1e-15)
+
+    @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
+    def test_matches_the_search_map(self, model):
+        # the map found by binary search over the half pattern, each entry
+        # on the orbits of its vertices, gives A bit for bit
+        rng = np.random.default_rng(8)
+        for m in (2, 3, 11, 32):
+            mesh = build_mesh(m)
+            asm = Assembler(mesh, model)
+            cache = model.precompute(mesh.mid_x1, mesh.mid_x2)
+            for _ in range(3):
+                y = random_y(model, rng)
+                A = asm.symmetric_system(y).A
+                search_map = half_stiffness_map(mesh, A.indptr, A.indices)
+                a_mean = model.a_cached(cache, y).mean(axis=1)
+                assert np.array_equal(A.data, search_map @ a_mean + asm._half[0].b_data)
 
     @pytest.mark.parametrize("model", KINDS, ids=KIND_IDS)
     def test_field_is_swap_symmetric(self, model):

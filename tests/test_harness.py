@@ -281,6 +281,10 @@ class TestCli:
         assert "config error: flag --m: " in capsys.readouterr().err
         assert main(["gl-study", "--model", "gl-analytic", "--tol", "x"]) == 1
         assert "config error: flag --tol: " in capsys.readouterr().err
+        # a tol outside (0, 1) is refused before any solve
+        assert main(["solve-evp", "--model", "gl-analytic", "--m", "4", "--tol", "inf"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: flag --tol: tol must be positive and below 1\n")
         # a negative truncation dimension would zero only the last parameters
         assert main(["trunc-study", "--model", "qmc-analytic", "--m", "4",
                      "--s-list=-1,2", "--ref-s", "4", "--level", "3",
@@ -478,6 +482,16 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"invalid input: {table}:2: expected 'index amplitude'")
+
+    def test_bad_vector_line_exits_1(self, tmp_path, capsys):
+        (tmp_path / "v4.txt").write_text("# 2 4\n1\nx\n")
+        code = main(["qmc-study", "--model", "qmc-analytic", "--m", "4", "--s", "2",
+                     "--levels", "2..2", "--shifts", "2", "--mc-shifts", "2",
+                     "--vectors", str(tmp_path / "v{n}.txt"), "--out", str(tmp_path / "q.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"invalid input: {tmp_path / 'v4.txt'}:3: expected one integer component, got 'x'\n")
+        assert not (tmp_path / "q.csv").exists()
 
     def test_custom_table_without_terms_exits_1(self, tmp_path, capsys):
         table = tmp_path / "series.txt"
